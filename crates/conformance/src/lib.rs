@@ -1,81 +1,57 @@
 //! Differential conformance harness for the workspace's time-decayed
-//! summaries (Cohen & Strauss, PODS 2003).
-//!
-//! Seven pieces, composed by the test matrices in `tests/matrix.rs`,
-//! `tests/fault_matrix.rs`, `tests/recovery_matrix.rs`, and
-//! `tests/registry_matrix.rs`:
+//! summaries (Cohen & Strauss, PODS 2003): one lock-step certifier
+//! that checks the paper's (1±ε) envelopes under every disturbance the
+//! serving stack adds, alone or stacked.
 //!
 //! * [`oracle`] — brute-force references that retain every `(t_i, f_i)`
 //!   and evaluate `Σ f_i · g(T − t_i)` directly: ground truth for
 //!   decayed sum/count/average/variance, L_p norms, and the
 //!   selection/quantile distributions of §7.
-//! * [`scenario`] — a deterministic, seeded generator of named stream
-//!   families (uniform, bursty, long-silence, boundary-aligned, the
-//!   Theorem 2 adversarial bursts, batch-boundary stressors) plus the
-//!   shard-split transform for distributed (§6) checks. No wall clock:
-//!   a `(family, seed)` pair always reproduces the same ops.
-//! * [`certify`] — the ε-certifier, replaying scenarios into a backend
-//!   and the oracle in lock-step and checking every query against the
-//!   envelope the backend itself certifies through
-//!   [`td_decay::StreamAggregate::error_bound`]. Violations surface as
-//!   a [`Failure`] carrying the replayable `(family, seed, tick)`
-//!   repro.
-//! * [`lateness`] — out-of-**arrival**-order stream families and the
-//!   bounded-lateness certifier: seeded arrival sequences (tail-skew
-//!   and watermark knife-edge adversaries) replayed through a
-//!   `td-reorder` stage in front of each backend, checked against an
-//!   independent watermark simulation under both lateness policies.
-//! * [`fault`] — deterministic fault injection for the sharded serving
-//!   engine: seeded [`FaultPlan`]s that panic a victim worker
-//!   mid-stream (with restart, quarantine, or checkpoint-corruption
-//!   outcomes), replayed lock-step against the oracle to prove every
-//!   degraded answer sits inside its self-reported widened envelope
-//!   and every corrupted checkpoint is *detected*, never silently
-//!   restored.
-//! * [`recovery`] — kill-at-any-byte durability certification for the
-//!   `td-persist` store: a doomed run logs a scenario prefix, the
-//!   store is damaged (truncated or bit-flipped) at every byte offset,
-//!   and recovery must either refuse with a typed `RestoreError` or
-//!   reconstruct a whole-call prefix whose remainder replays lock-step
-//!   inside the backend's own certified envelope of the exact oracle.
-//! * [`registry`] — multi-key conformance for `td-registry`: a seeded
-//!   scenario fanned across keys by a deterministic key stream,
-//!   replayed lock-step against a `HashMap<key, exact Oracle>` twin;
-//!   every per-key answer must sit inside the registry's self-reported
-//!   envelope, eviction-widened where the decay-aware sweep has
-//!   retired keys.
+//! * [`scenario`] — deterministic, seeded stream families (uniform,
+//!   bursty, long-silence, boundary-aligned, the Theorem 2 adversarial
+//!   bursts, batch-boundary stressors) and out-of-arrival-order
+//!   families (tail skew, watermark knife edges). No wall clock: a
+//!   `(family, seed, n)` triple always reproduces the same stream.
+//! * [`certify`] — the certifier: [`drive`] replays an [`Event`] stream
+//!   into a system under test ([`Sut`]) and the exact oracle in
+//!   lock-step and judges every answer by one rule, its relative
+//!   envelope plus an additive slack. The first violation becomes a
+//!   [`Repro`] whose one-line `Display` parses back through `FromStr`.
+//! * [`adapters`] — the disturbances as systems under test: shard
+//!   split and merge (§6), a supervised engine with a seeded worker
+//!   fault, a bounded-lateness reorder stage, a durable store killed
+//!   and damaged at every byte ([`adapters::crash_sweep`]), and a keyed
+//!   registry with per-key truth. Adapters nest, so axes stack.
+//! * [`matrix`] — every case as a row ([`Case`]): the in-order, fault,
+//!   lateness, recovery and registry matrices, the stacked rows (an
+//!   evicting keyed registry behind a keyed WAL killed at every byte;
+//!   a fault under a reorder stage), and the seeded-bug canaries.
+//!   [`replay`] re-runs the row a repro line names; the `repro` binary
+//!   does the same from a pasted line.
 //!
-//! Run the tier-1 matrix with `cargo test -p td-conformance`; the
-//! exhaustive sweep (more seeds, longer streams) is behind
-//! `cargo test -p td-conformance -- --ignored`.
+//! Run tier-1 with `cargo test -p td-conformance`; the exhaustive
+//! sweeps (more seeds, longer streams, kill at every byte) are behind
+//! `cargo test -p td-conformance -- --ignored`. Replay a failure with
+//! `cargo run -p td-conformance --bin repro -- '<repro line>'`.
 
+pub mod adapters;
 pub mod certify;
-pub mod fault;
-pub mod lateness;
+pub mod matrix;
 pub mod oracle;
-pub mod recovery;
-pub mod registry;
 pub mod scenario;
 
+pub use adapters::{Damages, FaultInjector, FaultMode, FaultPlan, Plain};
 pub use certify::{
-    certify_sharded, default_matrix, run_scenario, DynAggregate, DynOracle, Failure, MatrixCase,
-    RunStats, TruthKind,
+    drive, Answer, Damage, DamageKind, DynAggregate, DynOracle, Event, Repro, RunId, Stats, Sut,
+    TruthKind,
 };
-pub use fault::{
-    certify_corruption_detected, certify_faulted, certify_faulted_reordered, corruption_offsets,
-    default_fault_matrix, FaultCase, FaultInjector, FaultMode, FaultPlan, FaultReport,
-    FaultyBackend,
-};
-pub use lateness::{
-    certify_lateness, default_lateness_matrix, has_late_arrivals, late_arrival_catalogue, Arrival,
-    BoxedAgg, LateStream, LatenessCase,
+pub use matrix::{
+    all_cases, canaries, default_fault_matrix, default_lateness_matrix, default_matrix,
+    default_recovery_matrix, default_registry_matrix, replay, stacked_cases, Case, Report, Stream,
+    Suite, Sweep,
 };
 pub use oracle::{CoordOracle, Oracle};
-pub use recovery::{
-    certify_recovery, default_recovery_matrix, is_time_ordered, Damage, RecoveryCase,
-    RecoveryFailure, RecoveryReport,
+pub use scenario::{
+    catalogue, has_late_arrivals, late_arrival_catalogue, out_of_order, Arrival, LateStream, Op,
+    Rng, Scenario, SkewExtent,
 };
-pub use registry::{
-    certify_registry, default_registry_matrix, RegistryCase, RegistryFailure, RegistryRunStats,
-};
-pub use scenario::{catalogue, out_of_order, Op, Rng, Scenario, SkewExtent};

@@ -126,6 +126,14 @@ impl<G: DecayFunction> Oracle<G> {
         self.last_t = items.last().expect("non-empty").0;
     }
 
+    /// Records an item that arrives out of time order, at its true
+    /// timestamp — the truth behind a reorder stage. Items stay sorted
+    /// and the clock does not move.
+    pub fn observe_late(&mut self, t: Time, f: u64) {
+        let at = self.items.partition_point(|&(ti, _)| ti <= t);
+        self.items.insert(at, (t, f));
+    }
+
     /// Advances the clock (the oracle never drops state — it is the
     /// ground truth — but it enforces the non-decreasing time model).
     pub fn advance(&mut self, t: Time) {

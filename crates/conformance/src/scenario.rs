@@ -49,57 +49,6 @@ impl Scenario {
             .max()
             .unwrap_or(0)
     }
-
-    /// Splits the scenario into `k` per-shard op sequences for the
-    /// distributed shard-then-merge check (§6): observations are dealt
-    /// round-robin, while `Advance` is mirrored to every shard — and
-    /// every shard is advanced past each observation tick — so all
-    /// shards share a clock (the WBMH merge precondition). Queries are
-    /// dropped; the certifier queries the *merged* summary instead.
-    pub fn shard_split(&self, k: usize) -> Vec<Vec<Op>> {
-        assert!(k >= 1);
-        let mut shards: Vec<Vec<Op>> = vec![Vec::new(); k];
-        let mut next = 0usize;
-        for op in &self.ops {
-            match op {
-                Op::Observe(t, f) => {
-                    for (i, shard) in shards.iter_mut().enumerate() {
-                        if i == next {
-                            shard.push(Op::Observe(*t, *f));
-                        } else {
-                            shard.push(Op::Advance(*t));
-                        }
-                    }
-                    next = (next + 1) % k;
-                }
-                Op::ObserveBatch(items) => {
-                    // Deal the batch's items round-robin, preserving
-                    // each shard's sorted batch.
-                    let t_last = items.last().map(|&(t, _)| t);
-                    let mut per: Vec<Vec<(Time, u64)>> = vec![Vec::new(); k];
-                    for &(t, f) in items {
-                        per[next].push((t, f));
-                        next = (next + 1) % k;
-                    }
-                    for (shard, mine) in shards.iter_mut().zip(per) {
-                        if !mine.is_empty() {
-                            shard.push(Op::ObserveBatch(mine));
-                        }
-                        if let Some(t) = t_last {
-                            shard.push(Op::Advance(t));
-                        }
-                    }
-                }
-                Op::Advance(t) => {
-                    for shard in shards.iter_mut() {
-                        shard.push(Op::Advance(*t));
-                    }
-                }
-                Op::Query(_) => {}
-            }
-        }
-        shards
-    }
 }
 
 /// SplitMix64 — the standard 64-bit seeded generator; tiny, fast, and
@@ -300,8 +249,8 @@ pub enum SkewExtent {
 /// ([`SkewExtent::WithinBatch`], the legacy sub-case) or spans several
 /// ([`SkewExtent::CrossBatch`]). Ingested ops are always sorted, as the
 /// trait demands — *arrival*-order lateness is `td-reorder`'s domain
-/// and is exercised by the `LateArrival` families in
-/// [`crate::lateness`].
+/// and is exercised by the arrival families below
+/// ([`late_arrival_catalogue`]).
 pub fn out_of_order(seed: u64, n: usize, skew: SkewExtent) -> Scenario {
     match skew {
         SkewExtent::WithinBatch => {
@@ -408,6 +357,205 @@ pub fn catalogue(seed: u64, n: usize) -> Vec<Scenario> {
     ]
 }
 
+/// One out-of-order arrival: an item with true timestamp `t` and value
+/// `f` showing up on ingest source `source` at this position of the
+/// arrival sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arrival {
+    /// The ingest source (per-source reorder buffer) the item arrives
+    /// on.
+    pub source: usize,
+    /// The item's true timestamp.
+    pub t: Time,
+    /// The item's value.
+    pub f: u64,
+}
+
+/// A seeded out-of-arrival-order stream: the lateness counterpart of
+/// [`Scenario`]. Regenerating the named family at `seed` always
+/// reproduces the same arrival sequence.
+#[derive(Debug, Clone)]
+pub struct LateStream {
+    /// Family name (repro lines cite it).
+    pub name: String,
+    /// The seed the family was generated from.
+    pub seed: u64,
+    /// How many ingest sources the arrivals are spread over.
+    pub sources: usize,
+    /// The `allowed_lateness` this family is tuned against: the
+    /// within-bound family never crosses it, the knife-edge families
+    /// sit exactly on either side of it.
+    pub bound: u64,
+    /// Mid-stream queries fire after every this-many arrivals.
+    pub checkpoint_every: usize,
+    /// The arrival sequence.
+    pub arrivals: Vec<Arrival>,
+}
+
+impl LateStream {
+    /// Largest true timestamp in the stream (0 when empty).
+    pub fn max_time(&self) -> Time {
+        self.arrivals.iter().map(|a| a.t).max().unwrap_or(0)
+    }
+}
+
+/// Tail-free skew: every item's arrival delay is at most `bound`, so
+/// (provably) no arrival is ever late — the watermark when an item
+/// arrives is at most its own timestamp. The family certifies that
+/// in-bound reordering is *exact*: same released stream as a stable
+/// sort, no widening, no rejections.
+pub fn late_uniform_within(seed: u64, n: usize, bound: u64) -> LateStream {
+    let mut rng = Rng::new(seed ^ 0x7);
+    let sources = 3usize;
+    let mut items: Vec<(Time, u64, u64)> = Vec::with_capacity(n); // (t, delay, f)
+    let mut t: Time = 1;
+    for _ in 0..n {
+        t += rng.range(1, 3);
+        items.push((t, rng.below(bound + 1), 1 + rng.below(6)));
+    }
+    // Arrival order: stable sort by (t + delay). An item arriving at
+    // key `t + d ≤ t + bound` can only see max_seen ≤ its own key, so
+    // W ≤ t: never late.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| items[i].0 + items[i].1);
+    let arrivals = order
+        .into_iter()
+        .map(|i| Arrival {
+            source: rng.below(sources as u64) as usize,
+            t: items[i].0,
+            f: items[i].2,
+        })
+        .collect();
+    LateStream {
+        name: "late-uniform-within".into(),
+        seed,
+        sources,
+        bound,
+        checkpoint_every: 16,
+        arrivals,
+    }
+}
+
+/// Heavy-tail delay distribution: most items trail the frontier by a
+/// small skew, but a geometric tail throws some far beyond the bound —
+/// the family that actually exercises the Reject/Fold policies on
+/// genuinely late mass.
+pub fn late_heavy_tail(seed: u64, n: usize, bound: u64) -> LateStream {
+    let mut rng = Rng::new(seed ^ 0x8);
+    let sources = 3usize;
+    let mut items: Vec<(Time, u64, u64)> = Vec::with_capacity(n);
+    let mut t: Time = 1;
+    for _ in 0..n {
+        t += rng.range(1, 3);
+        // ~1 in 6 items draws from the tail: delay in
+        // (bound, 3·bound + 1] — far enough past the watermark to be
+        // late with near-certainty under the dense frontier.
+        let delay = if rng.below(6) == 0 {
+            bound + 1 + rng.below(2 * bound + 1)
+        } else {
+            rng.below(bound / 2 + 1)
+        };
+        items.push((t, delay, 1 + rng.below(6)));
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| items[i].0 + items[i].1);
+    let arrivals = order
+        .into_iter()
+        .map(|i| Arrival {
+            source: rng.below(sources as u64) as usize,
+            t: items[i].0,
+            f: items[i].2,
+        })
+        .collect();
+    LateStream {
+        name: "late-heavy-tail".into(),
+        seed,
+        sources,
+        bound,
+        checkpoint_every: 16,
+        arrivals,
+    }
+}
+
+/// Knife-edge adversarial, inside: after each frontier advance, echo an
+/// item at **exactly** the watermark (`t = max_seen − bound`). The `t
+/// == W` edge is on-time by contract; one off-by-one in the stage's
+/// comparison and this family rejects half its mass.
+pub fn late_just_inside(seed: u64, n: usize, bound: u64) -> LateStream {
+    knife_edge(seed, 0x9, n, bound, 0, "late-just-inside")
+}
+
+/// Knife-edge adversarial, outside: the echo sits at `W − 1`, one tick
+/// below the watermark — late by the narrowest possible margin, every
+/// time. Under `Reject` all echoes bounce; under `Fold` each is folded
+/// with the smallest nonzero weight gap.
+pub fn late_just_outside(seed: u64, n: usize, bound: u64) -> LateStream {
+    knife_edge(seed, 0xA, n, bound, 1, "late-just-outside")
+}
+
+fn knife_edge(seed: u64, salt: u64, n: usize, bound: u64, below_w: u64, name: &str) -> LateStream {
+    let mut rng = Rng::new(seed ^ salt);
+    let sources = 2usize;
+    let mut arrivals = Vec::with_capacity(n);
+    // Start the frontier far enough out that W − below_w never
+    // underflows.
+    let mut frontier: Time = bound + below_w + 2;
+    while arrivals.len() < n {
+        frontier += rng.range(1, 4);
+        arrivals.push(Arrival {
+            source: 0,
+            t: frontier,
+            f: 1 + rng.below(6),
+        });
+        if arrivals.len() < n {
+            // The echo, pinned to the watermark the frontier item just
+            // set: W = frontier − bound.
+            arrivals.push(Arrival {
+                source: 1,
+                t: frontier - bound - below_w,
+                f: 1 + rng.below(6),
+            });
+        }
+    }
+    LateStream {
+        name: name.into(),
+        seed,
+        sources,
+        bound,
+        checkpoint_every: 16,
+        arrivals,
+    }
+}
+
+/// The full lateness catalogue at one seed: every named arrival family
+/// the certifier runs, tuned to `bound` ticks of allowed lateness.
+pub fn late_arrival_catalogue(seed: u64, n: usize, bound: u64) -> Vec<LateStream> {
+    vec![
+        late_uniform_within(seed, n, bound),
+        late_heavy_tail(seed, n, bound),
+        late_just_inside(seed, n, bound),
+        late_just_outside(seed, n, bound),
+    ]
+}
+
+/// Whether `stream` contains at least one arrival the prefix-max
+/// simulation predicts to be late under `bound`. Used by the matrix
+/// tests to prove the tail families actually exercise the policies.
+pub fn has_late_arrivals(stream: &LateStream) -> bool {
+    let mut max_seen: Time = 0;
+    let mut wm: Time = 0;
+    let mut late = false;
+    for a in &stream.arrivals {
+        if a.t < wm {
+            late = true;
+        } else {
+            max_seen = max_seen.max(a.t);
+            wm = max_seen.saturating_sub(stream.bound);
+        }
+    }
+    late
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,25 +655,48 @@ mod tests {
     }
 
     #[test]
-    fn shard_split_partitions_observations() {
-        let sc = uniform(3, 120);
-        let shards = sc.shard_split(3);
-        assert_eq!(shards.len(), 3);
-        let count = |ops: &[Op]| -> u64 {
-            ops.iter()
-                .map(|op| match op {
-                    Op::Observe(_, f) => *f,
-                    Op::ObserveBatch(items) => items.iter().map(|&(_, f)| f).sum(),
-                    _ => 0,
-                })
-                .sum()
-        };
-        let whole = count(&sc.ops);
-        let split: u64 = shards.iter().map(|s| count(s)).sum();
-        assert_eq!(whole, split);
-        for s in &shards {
-            assert!(times_non_decreasing(s));
-            assert!(!s.iter().any(|op| matches!(op, Op::Query(_))));
+    fn families_are_deterministic() {
+        for (a, b) in late_arrival_catalogue(42, 120, 8)
+            .into_iter()
+            .zip(late_arrival_catalogue(42, 120, 8))
+        {
+            assert_eq!(a.arrivals, b.arrivals, "{} not deterministic", a.name);
         }
+    }
+
+    #[test]
+    fn uniform_within_never_goes_late() {
+        for seed in [1, 7, 99] {
+            let s = late_uniform_within(seed, 200, 6);
+            assert!(
+                !has_late_arrivals(&s),
+                "within-bound family produced a late arrival at seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn tail_and_knife_edge_families_do_go_late() {
+        for seed in [1, 7, 99] {
+            assert!(has_late_arrivals(&late_heavy_tail(seed, 200, 6)));
+            assert!(has_late_arrivals(&late_just_outside(seed, 200, 6)));
+        }
+    }
+
+    #[test]
+    fn just_inside_sits_exactly_on_the_watermark() {
+        // Every echo is on-time (t == W), and would be late if the
+        // bound were one tick tighter — the family really is on the
+        // knife edge.
+        let s = late_just_inside(5, 100, 6);
+        assert!(!has_late_arrivals(&s), "just-inside echoes went late");
+        let tightened = LateStream {
+            bound: s.bound - 1,
+            ..s.clone()
+        };
+        assert!(
+            has_late_arrivals(&tightened),
+            "just-inside echoes are not on the edge"
+        );
     }
 }

@@ -1,24 +1,30 @@
-//! Checkpoint round-trip conformance for every checkpointable backend
-//! in the workspace, across the six seeded scenario families.
+//! Decode conformance for every persisted format in the workspace:
+//! checkpoint envelopes of every backend and the keyed registry, WAL
+//! segments, shard checkpoints, and the store manifest.
 //!
-//! Two contracts:
+//! Four contracts:
 //!
 //! * **Round-trip is bit-identical.** `restore(save(b))` onto an
-//!   identically-configured fresh instance reproduces the state
-//!   exactly: the restored instance re-saves to the *same bytes*,
-//!   answers queries with the *same f64 bits*, and accounts the same
-//!   `storage_bits` — not merely "close", identical.
+//!   identically-configured fresh instance re-saves to the same bytes,
+//!   answers with the same f64 bits, and accounts the same storage.
 //! * **Corruption is always detected.** Any single-bit flip anywhere in
-//!   the checkpoint (every bit for small checkpoints, a seeded sample
-//!   for large ones) is rejected with `RestoreError::Checksum` —
-//!   checked via [`certify_corruption_detected`], which also rejects
-//!   decode orders that would read unverified bytes.
+//!   a checkpoint (every bit for small ones, a seeded sample for large
+//!   ones) is rejected as `RestoreError::Checksum` — a decode order
+//!   that reads unverified bytes fails this too.
+//! * **Configuration mismatches are typed errors.**
+//! * **Arbitrary bytes never panic or abort.** A seeded mutator flips
+//!   bits, overwrites every 4- and 8-byte field with 0 and with all
+//!   ones, and truncates — then re-seals the checksum, so the damage
+//!   reaches the field decoders — and every decode must return `Ok` or
+//!   a typed `RestoreError`.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use td_ceh::CascadedEh;
-use td_conformance::{catalogue, certify_corruption_detected, corruption_offsets, Op, Scenario};
+use td_conformance::{catalogue, Op, Rng, Scenario};
 use td_core::{BackendChoice, DecayedSum};
 use td_counters::{ExactDecayedSum, ExpCounter, PolyExpCounter, QuantizedExpCounter};
-use td_decay::checkpoint::Checkpoint;
+use td_decay::checkpoint::{Checkpoint, RestoreError};
 use td_decay::{DecayFunction, Exponential, Polynomial, SlidingWindow, StreamAggregate, Time};
 use td_eh::{ClassicEh, DominationEh};
 use td_forward::{ForwardDecaySum, ForwardDecayVariance};
@@ -209,8 +215,7 @@ fn every_single_bit_corruption_is_rejected_as_checksum() {
         let offsets = corruption_offsets(0xC0DE ^ bytes.len() as u64, bytes.len(), 256);
         certify_corruption_detected(case.name, &bytes, offsets, |corrupt| {
             (case.make)().restore_checkpoint(corrupt)
-        })
-        .unwrap_or_else(|repro| panic!("{repro}"));
+        });
     }
 }
 
@@ -255,4 +260,227 @@ fn config_mismatch_is_a_typed_error() {
         wrong_kind.restore_checkpoint(&fwd_bytes).is_err(),
         "forward restore across moment kinds must be rejected (wrong tag)"
     );
+}
+
+/// Requires every listed single-bit flip of `bytes` to be rejected by
+/// `restore` as [`RestoreError::Checksum`] — the envelope checksum is
+/// verified before anything else is read.
+fn certify_corruption_detected(
+    name: &str,
+    bytes: &[u8],
+    bit_offsets: impl IntoIterator<Item = u64>,
+    mut restore: impl FnMut(&[u8]) -> Result<(), RestoreError>,
+) {
+    let nbits = bytes.len() as u64 * 8;
+    for off in bit_offsets {
+        let bit = off % nbits;
+        let mut corrupt = bytes.to_vec();
+        corrupt[(bit / 8) as usize] ^= 1 << (bit % 8);
+        match restore(&corrupt) {
+            Err(RestoreError::Checksum) => {}
+            other => panic!("`{name}` bit {bit} of {nbits}: corruption decoded as {other:?}"),
+        }
+    }
+}
+
+/// Every bit for small checkpoints, `limit` seeded offsets otherwise.
+fn corruption_offsets(seed: u64, nbytes: usize, limit: usize) -> Vec<u64> {
+    let nbits = nbytes as u64 * 8;
+    if nbits <= limit as u64 {
+        return (0..nbits).collect();
+    }
+    let mut rng = Rng::new(seed ^ 0xC0FF_EE00_D15E_A5E5);
+    (0..limit).map(|_| rng.below(nbits)).collect()
+}
+
+fn fnv1a64(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    state
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// A checksummed frame: `sealed` bytes at the front carry the header
+/// the checksum covers, then the 8-byte checksum, then the payload.
+#[derive(Clone, Copy)]
+struct Frame {
+    /// Header bytes before the checksum (TDCP 14, TDWL 24).
+    sealed: usize,
+    /// Offset of the little-endian payload-length field.
+    len_at: usize,
+}
+
+const TDCP: Frame = Frame {
+    sealed: 14,
+    len_at: 6,
+};
+const TDWL: Frame = Frame {
+    sealed: 24,
+    len_at: 16,
+};
+
+impl Frame {
+    fn payload(self) -> usize {
+        self.sealed + 8
+    }
+
+    /// Recomputes the checksum over the (mutated) header and payload.
+    fn reseal(self, bytes: &mut [u8]) {
+        let (head, rest) = bytes.split_at_mut(self.sealed);
+        let sum = fnv1a64(fnv1a64(FNV_OFFSET, head), &rest[8..]);
+        rest[..8].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// Seeded damage to one frame: bit flips, every 4- and 8-byte field
+    /// overwritten with zeros and with ones, and truncations (length
+    /// field fixed up) — each re-sealed.
+    fn mutants(self, frame: &[u8], seed: u64) -> Vec<Vec<u8>> {
+        let mut rng = Rng::new(seed);
+        let body = self.payload()..frame.len();
+        let mut out = Vec::new();
+        let mut push = |mut m: Vec<u8>| {
+            self.reseal(&mut m);
+            out.push(m);
+        };
+        for _ in 0..64 {
+            let mut m = frame.to_vec();
+            let bit = rng.below(m.len() as u64 * 8);
+            m[(bit / 8) as usize] ^= 1 << (bit % 8);
+            push(m);
+        }
+        let fields = (4..self.sealed).chain(body.clone());
+        for at in fields {
+            for width in [4, 8] {
+                for fill in [0x00, 0xFF] {
+                    let end = (at + width).min(frame.len());
+                    let mut m = frame.to_vec();
+                    if at < self.sealed {
+                        // Header fields must not spill into the checksum.
+                        m[at..end.min(self.sealed)].fill(fill);
+                    } else {
+                        m[at..end].fill(fill);
+                    }
+                    push(m);
+                }
+            }
+        }
+        for _ in 0..16 {
+            let keep = body.start + rng.below(body.len() as u64 + 1) as usize;
+            let mut m = frame[..keep].to_vec();
+            let len = (keep - body.start) as u64;
+            m[self.len_at..self.len_at + 8].copy_from_slice(&len.to_le_bytes());
+            push(m);
+        }
+        out
+    }
+}
+
+/// Decodes every mutant; a panic (or abort) fails the sweep.
+fn sweep(name: &str, mutants: Vec<Vec<u8>>, mut decode: impl FnMut(&[u8])) {
+    for (i, m) in mutants.iter().enumerate() {
+        if catch_unwind(AssertUnwindSafe(|| decode(m))).is_err() {
+            panic!(
+                "`{name}` mutant #{i} ({} bytes) panicked the decoder",
+                m.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn arbitrary_byte_decode_sweep_never_panics() {
+    use td_persist::{
+        DurabilityOptions, DurableAggregate, MemStorage, Storage, StoreOptions, SyncPolicy,
+    };
+    use td_registry::{KeyedRegistry, RegistryOptions};
+
+    // Every checkpoint backend, one non-trivial state each.
+    for case in cases() {
+        let scenario = catalogue(11, 120)
+            .into_iter()
+            .filter(|s| case.max_time.is_none_or(|limit| s.max_time() <= limit))
+            .nth(1)
+            .expect("a family within the horizon");
+        let mut b = (case.make)();
+        replay(&mut *b, &scenario, case.value_cap);
+        let bytes = b.save_checkpoint();
+        // One receiver per backend: building some (WBMH region
+        // schedules) costs far more than a restore.
+        let mut target = (case.make)();
+        sweep(case.name, TDCP.mutants(&bytes, 0xDEC0), |m| {
+            let _ = target.restore_checkpoint(m);
+        });
+    }
+
+    // The keyed registry envelope, with live, evicted and free slots.
+    let make_reg = || {
+        let opts = RegistryOptions {
+            eviction_threshold: 1e-3,
+            sweep_per_ingest: 4,
+            ..RegistryOptions::default()
+        };
+        KeyedRegistry::new(opts, || ForwardDecaySum::new(Exponential::new(0.5)))
+    };
+    let mut reg = make_reg();
+    for i in 0..200u64 {
+        reg.observe_keyed(i % 7 + (i / 50) * 7, i * 3, 1 + i % 4);
+    }
+    assert!(reg.evictions() > 0, "registry input has evicted slots");
+    let mut target = make_reg();
+    let mutants = TDCP.mutants(&reg.save_checkpoint(), 0xDEC1);
+    sweep("registry", mutants, |m| {
+        let _ = target.restore_checkpoint(m);
+    });
+
+    // A durable store: WAL segments, shard checkpoints, the manifest.
+    let opts = DurabilityOptions {
+        store: StoreOptions {
+            segment_bytes: 512,
+            sync: SyncPolicy::EveryRecord,
+        },
+        checkpoint_every_records: 8,
+    };
+    let make = || ExactDecayedSum::new(Exponential::new(0.01));
+    let mem = MemStorage::new();
+    {
+        let (mut d, _) = DurableAggregate::open(Box::new(mem.clone()), opts, make).expect("open");
+        for t in 1..60u64 {
+            d.observe(t, t % 5 + 1).expect("ingest");
+        }
+    }
+    let store = mem.crashed();
+    let files = store.durable_files();
+    for prefix in ["wal-", "ckpt-", "manifest"] {
+        assert!(
+            files.iter().any(|(n, _)| n.starts_with(prefix)),
+            "no {prefix} file"
+        );
+    }
+    for (name, bytes) in files {
+        // A WAL segment is mutated in its first record, whose header
+        // says where it ends; the records after it stay intact.
+        let (frame, end) = if name.starts_with("wal-") {
+            let len = u64::from_le_bytes(bytes[16..24].try_into().expect("len field"));
+            (TDWL, TDWL.payload() + len as usize)
+        } else {
+            (TDCP, bytes.len())
+        };
+        let mutants = frame
+            .mutants(&bytes[..end], 0xDEC2)
+            .into_iter()
+            .map(|mut m| {
+                m.extend_from_slice(&bytes[end..]);
+                m
+            })
+            .collect();
+        sweep(&name, mutants, |m| {
+            let damaged = store.crashed();
+            damaged.write_atomic(&name, m).expect("write");
+            let _ = td_persist::recover(&damaged, 1);
+            let _ = DurableAggregate::open(Box::new(damaged), opts, make);
+        });
+    }
 }

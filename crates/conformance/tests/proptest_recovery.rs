@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use td_ceh::CascadedEh;
-use td_conformance::{catalogue, is_time_ordered, Op, Scenario};
+use td_conformance::{catalogue, Op, Scenario};
 use td_counters::ExactDecayedSum;
 use td_decay::checkpoint::Checkpoint;
 use td_decay::{Exponential, StreamAggregate, Time};
@@ -146,9 +146,6 @@ proptest! {
         pick in 0usize..2,
     ) {
         for scenario in catalogue(seed, 60) {
-            if !is_time_ordered(&scenario) {
-                continue;
-            }
             match pick {
                 0 => check(
                     || ExactDecayedSum::new(Exponential::new(0.01)),

@@ -232,7 +232,6 @@ proptest! {
                 eviction_threshold: 1e-3,
                 sweep_per_ingest: 8,
                 record_evictions: true,
-                ..RegistryOptions::default()
             },
             make,
         );

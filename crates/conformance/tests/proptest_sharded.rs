@@ -170,7 +170,6 @@ proptest! {
     ) {
         let mut engine = ShardedAggregate::with_options(
             k,
-            td_shard::Partitioner::RoundRobin,
             64, // tiny ring: teardown happens with items still queued
             || ExactDecayedSum::new(td_decay::Constant),
         );

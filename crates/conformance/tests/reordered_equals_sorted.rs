@@ -15,7 +15,7 @@
 //!   the sorted feed — not "within the envelope": *identical*.
 
 use proptest::prelude::*;
-use td_conformance::{catalogue, BoxedAgg, Op, Rng};
+use td_conformance::{catalogue, Op, Plain, Rng};
 use td_decay::{StorageAccounting, StreamAggregate, Time};
 use td_reorder::{LatenessPolicy, Reorderer};
 
@@ -153,10 +153,9 @@ proptest! {
             let mut rng = Rng::new(seed ^ 0xB1);
             let arrivals = shuffle_within_bound(&items, bound, &mut rng);
 
-            let (backend, rdecay, _tdecay) = case.fresh();
             let mut r = Reorderer::with_sources(
-                BoxedAgg(backend),
-                rdecay,
+                Plain(case.backend().expect("lateness rows wrap one backend")),
+                case.stage_decay().expect("lateness rows carry a stage decay"),
                 bound,
                 LatenessPolicy::Reject,
                 3,
@@ -167,8 +166,7 @@ proptest! {
             }
             r.flush();
 
-            let (direct, _rd, _td) = case.fresh();
-            let mut direct = BoxedAgg(direct);
+            let mut direct = Plain(case.backend().expect("backend"));
             let mut sorted = arrivals.clone();
             sorted.sort_by_key(|&(t, _)| t);
             for &(t, f) in &sorted {

@@ -310,6 +310,18 @@ impl<'a> CheckpointReader<'a> {
         self.take(n as usize)
     }
 
+    /// Validates a decoded element count against the payload left to
+    /// read, at `min_bytes` per element: a count the remaining bytes
+    /// cannot hold is [`RestoreError::Truncated`], so decoders can size
+    /// buffers from it without trusting it.
+    pub fn count(&self, n: u64, min_bytes: usize) -> Result<usize, RestoreError> {
+        let left = (self.buf.len() - self.pos) / min_bytes.max(1);
+        if n > left as u64 {
+            return Err(RestoreError::Truncated);
+        }
+        Ok(n as usize)
+    }
+
     /// Asserts the payload was fully consumed (trailing garbage would
     /// mean the encoder and decoder disagree on the schema).
     pub fn finish(self) -> Result<(), RestoreError> {

@@ -385,7 +385,8 @@ impl td_decay::checkpoint::Checkpoint for ClassicEh {
         let started = r.get_bool()?;
         let at_last = r.get_u64()?;
         let n = r.get_u64()?;
-        let mut buckets = BucketColumns::with_capacity(n as usize);
+        let n = r.count(n, 24)?;
+        let mut buckets = BucketColumns::with_capacity(n);
         let mut sum = 0u64;
         let mut run = 0usize;
         for i in 0..n {

@@ -510,7 +510,8 @@ impl td_decay::checkpoint::Checkpoint for DominationEh {
             return Err(RestoreError::Invariant("zero sites".into()));
         }
         let n = r.get_u64()?;
-        let mut buckets = BucketColumns::with_capacity(n as usize);
+        let n = r.count(n, 24)?;
+        let mut buckets = BucketColumns::with_capacity(n);
         let mut sum = 0u64;
         for i in 0..n {
             let start = r.get_u64()?;

@@ -249,7 +249,8 @@ fn decode_manifest(bytes: &[u8]) -> Result<Vec<u64>, RestoreError> {
             version.min(u32::from(u16::MAX)) as u16
         ));
     }
-    let n = r.get_u32()? as usize;
+    let n = r.get_u32()?;
+    let n = r.count(u64::from(n), 8)?;
     let mut seqs = Vec::with_capacity(n);
     for _ in 0..n {
         seqs.push(r.get_u64()?);
@@ -385,7 +386,7 @@ pub fn recover(storage: &dyn Storage, shard_count: u32) -> Result<Recovered, Res
 
     // --- gap check --------------------------------------------------
     for pair in records.windows(2) {
-        if pair[1].seq != pair[0].seq + 1 {
+        if pair[0].seq.checked_add(1) != Some(pair[1].seq) {
             return Err(RestoreError::Invariant(format!(
                 "WAL sequence gap: record {} followed by {}",
                 pair[0].seq, pair[1].seq
@@ -404,6 +405,21 @@ pub fn recover(storage: &dyn Storage, shard_count: u32) -> Result<Recovered, Res
                     first.seq
                 )));
             }
+        }
+    }
+
+    for (shard, ckpt) in checkpoints.iter().enumerate() {
+        let base = ckpt.as_ref().map_or(0, |c| c.entries_applied);
+        let logged: u64 = records
+            .iter()
+            .filter(|r| r.shard as usize == shard)
+            .map(|r| r.entries.len() as u64)
+            .sum();
+        if base.checked_add(logged).is_none() {
+            return Err(RestoreError::Invariant(format!(
+                "shard {shard} checkpoint claims {base} entries applied, past any \
+                 history the log can extend"
+            )));
         }
     }
 
@@ -683,6 +699,22 @@ mod tests {
 
     fn boxed(s: &MemStorage) -> Box<dyn Storage> {
         Box::new(s.clone())
+    }
+
+    #[test]
+    fn manifest_with_an_impossible_count_is_truncated_not_allocated() {
+        // A checksum-valid 31-byte manifest claiming u32::MAX seqs: the
+        // count must be refused before it sizes anything.
+        let mut w = CheckpointWriter::new(MANIFEST_TAG);
+        w.put_u32(PERSIST_FORMAT_VERSION);
+        w.put_u32(u32::MAX);
+        let bytes = w.seal();
+        assert_eq!(bytes.len(), 31);
+        assert_eq!(decode_manifest(&bytes), Err(RestoreError::Truncated));
+        let mem = MemStorage::new();
+        mem.write_atomic(MANIFEST_NAME, &bytes).unwrap();
+        // Recovery treats it as a damaged manifest and scans instead.
+        assert!(recover(&mem, 1).is_ok());
     }
 
     #[test]

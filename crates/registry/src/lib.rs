@@ -30,13 +30,6 @@
 //!   block of per-slot records — instead of millions of tiny per-key
 //!   envelopes, and restores to an observably identical twin.
 //!
-//! [`sharded::ShardedRegistry`] composes `ShardedAggregate`-style
-//! keyed routing on top: hash-by-key pins each key to one single-
-//! threaded registry shard, and each shard checkpoints into its own
-//! single file through a `td-persist` [`Storage`].
-//!
-//! [`Storage`]: td_persist::Storage
-
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -47,14 +40,19 @@ use td_decay::{ErrorBound, StorageAccounting, StreamAggregate, Time};
 use td_persist::KeyedCheckpoint;
 
 mod index;
-pub mod sharded;
 
 use index::KeyIndex;
-pub use sharded::ShardedRegistry;
 
 /// Checkpoint payload tag for [`KeyedRegistry`] (backends use ≤ 12,
 /// `td-persist` wrappers 0xD7/0xD8).
 pub const TAG_REGISTRY: u8 = 20;
+
+/// Fan-out for the un-keyed [`StreamAggregate`] facade: plain
+/// `observe(t, f)` routes to key `hash(f) % AUTO_FANOUT`, so the
+/// registry composes with every single-stream harness (certification,
+/// recovery, sharding) while still exercising the multi-key machinery.
+/// Pinned in checkpoints as `fanout=64`.
+const AUTO_FANOUT: u64 = 64;
 
 /// Tuning knobs for a [`KeyedRegistry`].
 #[derive(Debug, Clone)]
@@ -69,12 +67,6 @@ pub struct RegistryOptions {
     /// call. Bounds per-call sweep work; a full pass over `S` slots
     /// completes within `S / sweep_per_ingest` ingest calls.
     pub sweep_per_ingest: usize,
-    /// Fan-out for the un-keyed [`StreamAggregate`] facade: plain
-    /// `observe(t, f)` routes to key `hash(f) % auto_fanout`, so the
-    /// registry composes with every existing single-stream harness
-    /// (certification, recovery, sharding) while still exercising the
-    /// multi-key machinery.
-    pub auto_fanout: u64,
     /// Keep a log of evicted keys (testing / ops aid; not part of the
     /// checkpoint).
     pub record_evictions: bool,
@@ -86,7 +78,6 @@ impl Default for RegistryOptions {
             expected_keys: 1024,
             eviction_threshold: 0.0,
             sweep_per_ingest: 8,
-            auto_fanout: 64,
             record_evictions: false,
         }
     }
@@ -101,7 +92,7 @@ impl RegistryOptions {
             "registry v1 threshold={:016x} sweep={} fanout={}",
             self.eviction_threshold.to_bits(),
             self.sweep_per_ingest,
-            self.auto_fanout,
+            AUTO_FANOUT,
         ))
     }
 }
@@ -216,7 +207,6 @@ impl<B: StreamAggregate> KeyedRegistry<B> {
     /// A registry whose per-key state is built by `make`. Every call
     /// to `make` must produce an identically-configured backend.
     pub fn new(opts: RegistryOptions, make: impl Fn() -> B + Send + Sync + 'static) -> Self {
-        assert!(opts.auto_fanout >= 1, "auto_fanout must be at least 1");
         assert!(
             opts.sweep_per_ingest >= 1,
             "sweep_per_ingest must be at least 1"
@@ -552,7 +542,7 @@ impl<B: StreamAggregate> KeyedRegistry<B> {
 
     /// The auto-fanout key for the un-keyed facade.
     fn auto_key(&self, f: u64) -> u64 {
-        index::hash_key(f ^ 0xA07C_5EED_u64) % self.opts.auto_fanout
+        index::hash_key(f ^ 0xA07C_5EED_u64) % AUTO_FANOUT
     }
 }
 
@@ -602,7 +592,7 @@ impl<B: StreamAggregate> StorageAccounting for KeyedRegistry<B> {
 }
 
 /// The un-keyed facade: the registry is itself a [`StreamAggregate`]
-/// whose plain `observe(t, f)` routes to key `hash(f) % auto_fanout`
+/// whose plain `observe(t, f)` routes to key `hash(f) % AUTO_FANOUT`
 /// and whose `query(t)` sums the live population. This is what lets
 /// the existing single-stream harnesses — certification, kill-at-
 /// every-byte recovery, `ShardedAggregate` — drive the multi-key
@@ -767,7 +757,11 @@ impl<B: StreamAggregate + Checkpoint> Checkpoint for KeyedRegistry<B> {
         let sweep_visits = r.get_u64()?;
         let touches_total = r.get_u64()?;
         let sweep_cursor = r.get_u32()?;
-        let slot_count = r.get_u32()? as usize;
+        // Every slot record holds at least its generation and
+        // occupancy (5 bytes): a count past that is damage, refused
+        // before it sizes the columns below.
+        let slot_count = r.get_u32()?;
+        let slot_count = r.count(u64::from(slot_count), 5)?;
 
         let mut states = Vec::with_capacity(slot_count);
         let mut keys = vec![0u64; slot_count];
@@ -861,6 +855,26 @@ mod tests {
             ..RegistryOptions::default()
         };
         KeyedRegistry::new(opts, || ForwardDecaySum::new(Exponential::new(0.05)))
+    }
+
+    #[test]
+    fn slot_count_past_the_payload_is_truncated_not_allocated() {
+        // A checksum-valid envelope whose header claims u32::MAX slots
+        // and carries none: refused before the columns are sized.
+        let opts = RegistryOptions::default();
+        let mut w = CheckpointWriter::new(TAG_REGISTRY);
+        w.put_u64(opts.config_pin());
+        w.put_u64(0); // clock
+        w.put_bool(false); // started
+        w.put_f64(0.0); // evicted mass
+        for _ in 0..3 {
+            w.put_u64(0); // evictions, sweep visits, touches
+        }
+        w.put_u32(0); // sweep cursor
+        w.put_u32(u32::MAX); // slot count
+        let bytes = w.seal();
+        let mut r = KeyedRegistry::new(opts, || ForwardDecaySum::new(Exponential::new(0.05)));
+        assert_eq!(r.restore_checkpoint(&bytes), Err(RestoreError::Truncated));
     }
 
     #[test]

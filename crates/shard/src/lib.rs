@@ -129,21 +129,6 @@ const HEALTH_LIVE: u8 = 0;
 const HEALTH_FAILED: u8 = 1;
 const HEALTH_QUARANTINED: u8 = 2;
 
-/// How an un-keyed [`observe`](ShardedAggregate::observe) picks a shard.
-/// Keyed ingest ([`observe_keyed`](ShardedAggregate::observe_keyed))
-/// always hashes, so same-key items land on the same shard regardless
-/// of this setting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Partitioner {
-    /// Spread items evenly: item i goes to shard i mod N. Best load
-    /// balance; no per-key locality.
-    RoundRobin,
-    /// Un-keyed items still round-robin (there is no key to hash), but
-    /// declares intent: use [`observe_keyed`](ShardedAggregate::observe_keyed)
-    /// so a key's whole substream lives in one shard.
-    HashByKey,
-}
-
 /// What the coordinator does when a shard's ring stays full.
 ///
 /// The ring is strictly FIFO, so "drop oldest" is not implementable
@@ -317,8 +302,6 @@ pub struct SupervisorOptions {
     pub backpressure: BackpressurePolicy,
     /// Per-shard ring capacity (rounded up to a power of two).
     pub ring_capacity: usize,
-    /// Un-keyed ingest partitioning.
-    pub partitioner: Partitioner,
     /// Background fsync cadence for [durable](ShardedAggregate::durable)
     /// engines: a worker whose ring has gone idle flushes any unsynced
     /// WAL tail once per this interval. Batched sync policies
@@ -340,7 +323,6 @@ impl Default for SupervisorOptions {
             barrier_deadline: Duration::from_secs(1),
             backpressure: BackpressurePolicy::Block,
             ring_capacity: DEFAULT_RING_CAPACITY,
-            partitioner: Partitioner::RoundRobin,
             wal_flush_idle: Some(Duration::from_millis(100)),
         }
     }
@@ -404,12 +386,8 @@ fn entry_to_msg(e: &WalEntry) -> Msg {
     match *e {
         WalEntry::Observe(t, f) => Msg::Observe(t, f),
         WalEntry::Advance(t) => Msg::Advance(t),
-        // The sharded supervisor never logs keyed entries (keys are
-        // resolved to shards before the WAL); a keyed record in its
-        // store is another system's file.
-        WalEntry::ObserveKeyed(..) => {
-            panic!("keyed WAL entry in a sharded-supervisor store")
-        }
+        // `durable` refuses keyed stores before replay starts.
+        WalEntry::ObserveKeyed(..) => unreachable!("keyed entries are refused on open"),
     }
 }
 
@@ -539,7 +517,6 @@ struct Cache<B> {
 /// surface. See the crate docs for the architecture and failure model.
 pub struct ShardedAggregate<B> {
     shards: Vec<Shard<B>>,
-    partitioner: Partitioner,
     backpressure: BackpressurePolicy,
     barrier_deadline: Duration,
     /// Next round-robin target.
@@ -1028,6 +1005,22 @@ impl<B: StreamAggregate + Checkpoint + Clone + Send + 'static> ShardedAggregate<
         };
         let (store, recovered) =
             DurableStore::open(durability.storage, durability.options, shards as u32)?;
+        // Refuse before replay, as `DurableAggregate::open` does: keys
+        // were never resolved to shards, so a keyed history (written by
+        // `DurableAggregate::open_keyed`) has no shard-level meaning.
+        if (0..shards as u32).any(|i| {
+            recovered.tail_for(i).any(|r| {
+                r.entries
+                    .iter()
+                    .any(|e| matches!(e, WalEntry::ObserveKeyed(..)))
+            })
+        }) {
+            return Err(RestoreError::Invariant(
+                "WAL holds keyed (kind-2) entries; a sharded-supervisor store \
+                 never logs them"
+                    .to_string(),
+            ));
+        }
         let mut inits = Vec::with_capacity(shards);
         let mut entries_applied = Vec::with_capacity(shards);
         let mut checkpoints_restored = 0usize;
@@ -1105,17 +1098,11 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         Self::build(shards, SupervisorOptions::default(), None, &make, None)
     }
 
-    /// Full-control constructor: shard count, partitioner, and per-shard
-    /// ring capacity (rounded up to a power of two). Unsupervised; see
+    /// Full-control constructor: shard count and per-shard ring
+    /// capacity (rounded up to a power of two). Unsupervised; see
     /// [`new`](Self::new).
-    pub fn with_options(
-        shards: usize,
-        partitioner: Partitioner,
-        ring_capacity: usize,
-        make: impl Fn() -> B,
-    ) -> Self {
+    pub fn with_options(shards: usize, ring_capacity: usize, make: impl Fn() -> B) -> Self {
         let opts = SupervisorOptions {
-            partitioner,
             ring_capacity,
             ..SupervisorOptions::default()
         };
@@ -1211,7 +1198,6 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         ShardedAggregate {
             scratch: (0..shards).map(|_| Vec::new()).collect(),
             shards: handles,
-            partitioner: opts.partitioner,
             backpressure: opts.backpressure,
             barrier_deadline: opts.barrier_deadline,
             rr_next: 0,
@@ -1694,13 +1680,8 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
 impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAggregate<B> {
     fn observe(&mut self, t: Time, f: u64) {
         self.note_time(t);
-        let i = match self.partitioner {
-            Partitioner::RoundRobin | Partitioner::HashByKey => {
-                let i = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % self.shards.len();
-                self.route(i)
-            }
-        };
+        let i = self.route(self.rr_next);
+        self.rr_next = (self.rr_next + 1) % self.shards.len();
         let policy = self.backpressure;
         self.shards[i].push_all(&[Msg::Observe(t, f)], policy);
     }
@@ -2036,9 +2017,7 @@ mod tests {
 
     #[test]
     fn keyed_ingest_accounts_all_mass() {
-        let mut s = ShardedAggregate::with_options(4, Partitioner::HashByKey, 64, || {
-            ExactDecayedSum::new(Constant)
-        });
+        let mut s = ShardedAggregate::with_options(4, 64, || ExactDecayedSum::new(Constant));
         let mut total = 0u64;
         for i in 0..1000u64 {
             let f = 1 + i % 5;
@@ -2054,9 +2033,7 @@ mod tests {
         // drain their rings fully before exiting, so every item lands.
         let items = stream(20_000);
         let total: u64 = items.iter().map(|&(_, f)| f).sum();
-        let mut s = ShardedAggregate::with_options(4, Partitioner::RoundRobin, 256, || {
-            ExactDecayedSum::new(Constant)
-        });
+        let mut s = ShardedAggregate::with_options(4, 256, || ExactDecayedSum::new(Constant));
         s.observe_batch(&items);
         let merged = s.into_merged().expect("no shard failed");
         let probe = items.last().unwrap().0 + 1;
@@ -2442,6 +2419,28 @@ mod tests {
             "silent-but-dirty WAL tail was not fsynced within the idle cadence"
         );
         drop(eng_on);
+    }
+
+    #[test]
+    fn durable_refuses_a_keyed_store_before_replay() {
+        // The kind-2 history `DurableAggregate::open_keyed` logs.
+        let mem = MemStorage::new();
+        {
+            let (mut store, _) =
+                td_persist::DurableStore::open(Box::new(mem.clone()), Default::default(), 1)
+                    .expect("fresh store");
+            store
+                .append_record(0, &[WalEntry::ObserveKeyed(7, 10, 3)])
+                .expect("append");
+            store.flush().expect("flush");
+        }
+        let opened = ShardedAggregate::durable(
+            1,
+            SupervisorOptions::default(),
+            DurabilityConfig::new(Box::new(mem.crashed())),
+            || ExactDecayedSum::new(Exponential::new(0.01)),
+        );
+        assert!(matches!(opened, Err(RestoreError::Invariant(_))));
     }
 
     #[test]

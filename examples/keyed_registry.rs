@@ -1,16 +1,17 @@
 //! One decayed aggregate per tenant, a million tenants: the
 //! `td-registry` keyed layer under zipf traffic — slab storage, lazy
 //! advance, decay-aware eviction — then killed and recovered two ways
-//! (per-shard segmented checkpoints, and the keyed WAL).
+//! (one segmented checkpoint, and the keyed WAL).
 //!
 //! ```sh
 //! cargo run --release --example keyed_registry
 //! ```
 
+use td_decay::checkpoint::Checkpoint;
 use td_decay::{Exponential, Time};
 use td_forward::ForwardDecaySum;
 use td_persist::{DurabilityOptions, DurableAggregate, MemStorage, StoreOptions, SyncPolicy};
-use td_registry::{KeyedRegistry, RegistryOptions, ShardedRegistry};
+use td_registry::{KeyedRegistry, RegistryOptions};
 
 const N_KEYS: u64 = 1_000_000;
 const OPS: usize = 2_000_000;
@@ -88,45 +89,37 @@ fn main() {
         );
     }
 
-    // ── Kill + recover, way 1: per-shard segmented checkpoints ──────
-    // A ShardedRegistry pins each key to one shard; every shard
-    // checkpoints its whole slab into its own single file
-    // (`registry-NNNN.tdcp`) — 4 files for 4 shards, never one file
-    // per key. MemStorage's `crashed()` keeps only fsynced bytes.
-    let mem = MemStorage::new();
-    let mut fleet = ShardedRegistry::new(
-        4,
-        RegistryOptions {
-            expected_keys: 4096,
-            ..RegistryOptions::default()
-        },
-        make_backend,
-    );
+    // ── Kill + recover, way 1: one segmented checkpoint ─────────────
+    // The whole slab persists as a single envelope (header + packed
+    // per-slot block), never one file per key.
+    let mk_small = || {
+        KeyedRegistry::new(
+            RegistryOptions {
+                expected_keys: 4096,
+                ..RegistryOptions::default()
+            },
+            make_backend,
+        )
+    };
+    let mut small = mk_small();
     for chunk in items[..200_000].chunks(BATCH) {
-        fleet.observe_keyed_batch(chunk);
+        small.observe_keyed_batch(chunk);
     }
-    fleet
-        .save_checkpoints(&mem)
-        .expect("save per-shard checkpoints");
+    let bytes = small.save_checkpoint();
     let probe_keys: Vec<u64> = (0..8).chain([31_337, 999_999]).collect();
     let before: Vec<f64> = probe_keys
         .iter()
-        .map(|&k| fleet.query_key(k, now).estimate)
+        .map(|&k| small.query_key(k, now).estimate)
         .collect();
-    drop(fleet); // the process dies here
+    drop(small); // the process dies here
 
-    let (recovered, restored) = ShardedRegistry::open(
-        &mem.crashed(),
-        4,
-        RegistryOptions {
-            expected_keys: 4096,
-            ..RegistryOptions::default()
-        },
-        make_backend,
-    )
-    .expect("reopen from checkpoint files");
+    let mut recovered = mk_small();
+    recovered
+        .restore_checkpoint(&bytes)
+        .expect("restore the checkpoint envelope");
     println!(
-        "\ncheckpoint recovery: {restored}/4 shard files restored, {} keys back",
+        "\ncheckpoint recovery: one {} KiB envelope, {} keys back",
+        bytes.len() / 1024,
         recovered.len()
     );
     for (i, &k) in probe_keys.iter().enumerate() {

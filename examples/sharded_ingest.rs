@@ -13,15 +13,14 @@ use std::sync::Arc;
 use td_ceh::CascadedEh;
 use td_decay::checkpoint::{Checkpoint, RestoreError};
 use td_decay::{ErrorBound, Polynomial, StorageAccounting, StreamAggregate, Time};
-use td_shard::{Partitioner, ShardHealth, ShardedAggregate, SupervisorOptions};
+use td_shard::{ShardHealth, ShardedAggregate, SupervisorOptions};
 
 fn main() {
     // Four shards, each a private cascaded-EH under POLYD(1) decay.
     // Every shard sees a disjoint substream; the §6 merge property is
     // what lets their summaries fold back into one answer.
-    let mut engine = ShardedAggregate::with_options(4, Partitioner::HashByKey, 4096, || {
-        CascadedEh::new(Polynomial::new(1.0), 0.05)
-    });
+    let mut engine =
+        ShardedAggregate::with_options(4, 4096, || CascadedEh::new(Polynomial::new(1.0), 0.05));
 
     // Ingest phase: 200k items over 20k ticks. Keyed ingest pins each
     // key's whole substream to one shard (useful when the backend is
