@@ -314,6 +314,9 @@ impl<G: DecayFunction> td_decay::StreamAggregate for CascadedEh<G, DominationEh>
     fn merge_from(&mut self, other: &Self) {
         CascadedEh::merge_from(self, other)
     }
+    fn unit_weight_cap(&self) -> f64 {
+        self.decay.weight_cap()
+    }
     fn error_bound(&self) -> td_decay::ErrorBound {
         // Theorem 1's one-sided [S, (1+ε)S] envelope; a k-site union
         // widens the over-count side to k·ε (the under side stays 0:

@@ -69,6 +69,9 @@ macro_rules! forward_aggregate {
             fn error_bound(&self) -> ErrorBound {
                 self.$inner.error_bound()
             }
+            fn unit_weight_cap(&self) -> f64 {
+                self.$inner.unit_weight_cap()
+            }
         }
     };
 }
@@ -295,6 +298,9 @@ impl<B: StreamAggregate + Clone> StreamAggregate for FaultyBackend<B> {
     }
     fn error_bound(&self) -> ErrorBound {
         self.inner.error_bound()
+    }
+    fn unit_weight_cap(&self) -> f64 {
+        self.inner.unit_weight_cap()
     }
 }
 
@@ -566,13 +572,13 @@ impl<A: StreamAggregate + Sut> Sut for Staged<A> {
 }
 
 /// A keyed registry: keyed events route per key, and each key's answer
-/// carries the registry's eviction slack.
+/// carries the registry's eviction slack as missing weight.
 pub struct Keyed<X: StreamAggregate>(pub KeyedRegistry<X>);
 
 fn key_answer<X: StreamAggregate>(reg: &KeyedRegistry<X>, key: u64, t: Time) -> Answer {
     let a = reg.query_key(key, t);
     Answer {
-        slack: a.evicted_slack,
+        envelope: a.envelope(),
         ..Answer::of(a.estimate, a.bound)
     }
 }

@@ -1,11 +1,11 @@
 //! The one lock-step certifier: [`drive`] replays an [`Event`] stream
 //! into a system under test ([`Sut`]) and the exact [`Oracle`] side by
-//! side, and judges every answer by one rule — the answer's relative
-//! [`ErrorBound`] plus an additive slack, with one [`slop`] for f64
-//! summation noise. The first violation stops the run and becomes a
-//! [`Repro`]: a one-line, parseable description that regenerates the
-//! same stream, re-runs the same case, and reaches the same failing
-//! tick.
+//! side, and judges every answer by one rule — the answer's
+//! [`Envelope`] (relative bound plus additive missing / over-counted
+//! weight), with one [`slop`] for f64 summation noise. The first
+//! violation stops the run and becomes a [`Repro`]: a one-line,
+//! parseable description that regenerates the same stream, re-runs the
+//! same case, and reaches the same failing tick.
 //!
 //! Disturbances never get their own loop: they are adapters around the
 //! system under test (`crate::adapters`) or transforms of the event
@@ -16,7 +16,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 
-use td_decay::{DecayFunction, ErrorBound, StreamAggregate, Time};
+use td_decay::{DecayFunction, Envelope, ErrorBound, StreamAggregate, Time};
 use td_reorder::LatenessPolicy;
 
 use crate::oracle::Oracle;
@@ -114,11 +114,10 @@ pub enum TruthKind {
 pub struct Answer {
     /// The estimate.
     pub value: f64,
-    /// The relative envelope the system reports for it.
-    pub bound: ErrorBound,
-    /// Additive slack on top of the relative envelope (mass the
-    /// system has certifiably dropped, e.g. by eviction).
-    pub slack: f64,
+    /// The envelope the system certifies it with: its relative bound
+    /// plus additive weight it may miss (e.g. evicted keys) or
+    /// over-count.
+    pub envelope: Envelope,
     /// Served without some shard's live state.
     pub degraded: bool,
     /// The tick the answer claims completeness up to, when the system
@@ -131,18 +130,16 @@ impl Answer {
     pub fn of(value: f64, bound: ErrorBound) -> Self {
         Answer {
             value,
-            bound,
-            slack: 0.0,
+            envelope: Envelope::from(bound),
             degraded: false,
             complete_up_to: None,
         }
     }
 
     /// The one judging rule: does `truth` sit inside this answer's
-    /// relative envelope widened by its slack and [`slop`]?
+    /// envelope, up to [`slop`]?
     pub fn admits(&self, truth: f64) -> bool {
-        self.bound
-            .admits(self.value, truth, slop(truth) + self.slack)
+        self.envelope.admits(self.value, truth, slop(truth))
     }
 }
 
@@ -372,23 +369,22 @@ impl FromStr for Repro {
 }
 
 /// Judges `ans` against the oracle's `kind` truth at `t`.
-fn judge(kind: TruthKind, oracle: &DynOracle, t: Time, ans: Answer) -> (f64, bool) {
-    let (truth, ans) = match kind {
-        TruthKind::Sum => (oracle.decayed_sum(t), ans),
-        TruthKind::Average => (oracle.decayed_average(t).unwrap_or(0.0), ans),
+fn judge(kind: TruthKind, oracle: &DynOracle, t: Time, mut ans: Answer) -> (f64, bool) {
+    let truth = match kind {
+        TruthKind::Sum => oracle.decayed_sum(t),
+        TruthKind::Average => oracle.decayed_average(t).unwrap_or(0.0),
         TruthKind::Variance { budget } => {
-            let v = oracle.decayed_variance(t);
-            if ans.bound.is_bounded() {
-                (v, ans)
-            } else {
-                let slack = ans.slack + budget * oracle.decayed_sum_of_squares(t);
-                let abs = Answer {
+            if !ans.envelope.bound.is_bounded() {
+                // The absolute budget, as equal under / over terms.
+                let b = budget * oracle.decayed_sum_of_squares(t);
+                let e = ans.envelope;
+                ans.envelope = Envelope {
                     bound: ErrorBound::exact(),
-                    slack,
-                    ..ans
+                    under: e.under + b,
+                    over: e.over + b,
                 };
-                (v, abs)
             }
+            oracle.decayed_variance(t)
         }
     };
     (truth, ans.admits(truth))
@@ -465,16 +461,17 @@ pub fn drive(
                     stats.max_rel_err = stats.max_rel_err.max(rel);
                 }
                 if !ok {
-                    let b = ans.bound;
+                    let e = ans.envelope;
                     return Err((
                         k,
                         format!(
-                            "answer {:.9e} outside its envelope [-{}, +{}] + slack {:e} \
-                             around truth {truth:.9e}{}",
+                            "answer {:.9e} outside its envelope [-{}, +{}] \
+                             - {:e} / + {:e} around truth {truth:.9e}{}",
                             ans.value,
-                            b.lower,
-                            b.upper,
-                            ans.slack,
+                            e.bound.lower,
+                            e.bound.upper,
+                            e.under,
+                            e.over,
                             if ans.degraded { " (degraded)" } else { "" }
                         ),
                     ));

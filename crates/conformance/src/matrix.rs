@@ -888,15 +888,21 @@ where
 
 /// The fault matrix: every [`FaultMode`] against an exact backend
 /// (restart and quarantine accounting is exactly checkable), a
-/// Theorem-1 sketch (widening composes with its ε-envelope), and a
-/// forward accumulator, with corruption on backends whose checkpoints
-/// carry real structure.
+/// Theorem-1 sketch (widening composes with its ε-envelope), a forward
+/// accumulator, and the polyexponential pipeline (missing mass may
+/// weigh far more than `g(1)`), with corruption on backends whose
+/// checkpoints carry real structure.
 pub fn default_fault_matrix() -> Vec<Case> {
     use FaultMode::{CorruptCheckpoint as Corrupt, Quarantine, Restart};
     let (e, c) = (exp(0.01), Constant);
     let exact = |name, p| fault(name, p, 4, c, ExactDecayedSum::new);
     let ceh = |name, p| fault(name, p, 3, e, |g| CascadedEh::new(g, 0.1));
     let fwd = |name, p| fault(name, p, 3, e, ForwardDecaySum::new);
+    let pexp = |name, p| {
+        fault(name, p, 3, PolyExponential::new(2, 0.03), |_| {
+            PolyExpCounter::new(2, 0.03)
+        })
+    };
     let bit = |bit_offset| Corrupt { bit_offset };
     vec![
         exact("restart/exact-constant", plan(0xFA_0001, 1, 12, Restart)),
@@ -919,6 +925,8 @@ pub fn default_fault_matrix() -> Vec<Case> {
         ceh("corrupt-ckpt/ceh-exp", plan(0xFA_0006, 2, 9, bit(7777))),
         fwd("restart/forward-exp", plan(0xFA_0007, 1, 10, Restart)),
         fwd("quarantine/forward-exp", plan(0xFA_0008, 0, 11, Quarantine)),
+        // Lost mass ages toward g's peak near k/λ ≈ 67, far above g(1).
+        pexp("quarantine/polyexp-k2", plan(0xFA_000A, 1, 10, Quarantine)),
     ]
 }
 
@@ -1200,6 +1208,9 @@ impl StreamAggregate for Unchecked {
     }
     fn error_bound(&self) -> td_decay::ErrorBound {
         self.0.error_bound()
+    }
+    fn unit_weight_cap(&self) -> f64 {
+        self.0.unit_weight_cap()
     }
 }
 

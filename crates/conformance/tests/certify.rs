@@ -65,7 +65,7 @@ fn matrices_keep_their_rows() {
         default_recovery_matrix().len(),
         default_registry_matrix().len(),
     ];
-    assert_eq!(counts, [29, 8, 11, 12, 4]);
+    assert_eq!(counts, [29, 9, 11, 12, 4]);
     let all = td_conformance::all_cases();
     let mut ids: Vec<String> = all.iter().map(|c| c.id()).collect();
     ids.sort();

@@ -514,6 +514,19 @@ impl DecayedSum {
         }
     }
 
+    /// The summary backend answers are delegated to (`None` for the
+    /// plain constant-decay counter).
+    fn delegate(&self) -> Option<&dyn StreamAggregate> {
+        match &self.backend {
+            Backend::Plain { .. } => None,
+            Backend::Exp(c) => Some(c),
+            Backend::PolyExp(c) => Some(c),
+            Backend::Ceh(c) => Some(c),
+            Backend::Wbmh(w) => Some(&**w),
+            Backend::Exact(e) => Some(e),
+        }
+    }
+
     /// Which backend was selected: `"plain"`, `"exp-counter"`, `"ceh"`,
     /// `"wbmh"`, or `"exact"`.
     pub fn backend_name(&self) -> &'static str {
@@ -554,14 +567,11 @@ impl StreamAggregate for DecayedSum {
         DecayedSum::merge_from(self, other)
     }
     fn error_bound(&self) -> td_decay::ErrorBound {
-        match &self.backend {
-            Backend::Plain { .. } => td_decay::ErrorBound::exact(),
-            Backend::Exp(c) => StreamAggregate::error_bound(c),
-            Backend::PolyExp(c) => StreamAggregate::error_bound(c),
-            Backend::Ceh(c) => StreamAggregate::error_bound(c),
-            Backend::Wbmh(w) => StreamAggregate::error_bound(&**w),
-            Backend::Exact(e) => StreamAggregate::error_bound(e),
-        }
+        self.delegate()
+            .map_or_else(td_decay::ErrorBound::exact, |b| b.error_bound())
+    }
+    fn unit_weight_cap(&self) -> f64 {
+        self.delegate().map_or(1.0, |b| b.unit_weight_cap())
     }
 }
 
@@ -576,13 +586,9 @@ impl DecayedCount for DecayedSum {
 
 impl StorageAccounting for DecayedSum {
     fn storage_bits(&self) -> u64 {
-        match &self.backend {
-            Backend::Plain { total, .. } => bits_for_count(*total),
-            Backend::Exp(c) => StorageAccounting::storage_bits(c),
-            Backend::PolyExp(c) => StorageAccounting::storage_bits(c),
-            Backend::Ceh(c) => StorageAccounting::storage_bits(c),
-            Backend::Wbmh(w) => StorageAccounting::storage_bits(&**w),
-            Backend::Exact(e) => StorageAccounting::storage_bits(e),
+        match (&self.backend, self.delegate()) {
+            (Backend::Plain { total, .. }, _) => bits_for_count(*total),
+            (_, b) => b.map_or(0, |b| b.storage_bits()),
         }
     }
 }

@@ -190,6 +190,9 @@ impl td_decay::StreamAggregate for ExpCounter {
     fn merge_from(&mut self, other: &Self) {
         ExpCounter::merge_from(self, other)
     }
+    fn unit_weight_cap(&self) -> f64 {
+        td_decay::DecayFunction::weight_cap(&self.decay)
+    }
 }
 
 /// [`ExpCounter`] with an explicitly bounded mantissa.
@@ -330,6 +333,9 @@ impl td_decay::StreamAggregate for QuantizedExpCounter {
     }
     fn merge_from(&mut self, other: &Self) {
         QuantizedExpCounter::merge_from(self, other)
+    }
+    fn unit_weight_cap(&self) -> f64 {
+        td_decay::DecayFunction::weight_cap(&self.inner.decay)
     }
     fn error_bound(&self) -> td_decay::ErrorBound {
         // Each rounding perturbs the state by ≤ 2^{-m} relative, and

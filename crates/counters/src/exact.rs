@@ -204,6 +204,9 @@ impl<G: DecayFunction> td_decay::StreamAggregate for ExactDecayedSum<G> {
     fn merge_from(&mut self, other: &Self) {
         ExactDecayedSum::merge_from(self, other)
     }
+    fn unit_weight_cap(&self) -> f64 {
+        self.decay.weight_cap()
+    }
 }
 
 impl<G: DecayFunction> StorageAccounting for ExactDecayedSum<G> {

@@ -94,12 +94,97 @@ impl ErrorBound {
     /// Checks `est` against the envelope around true value `truth`,
     /// with `slop` absolute tolerance absorbing f64 summation noise.
     pub fn admits(&self, est: f64, truth: f64, slop: f64) -> bool {
-        if !self.is_bounded() {
+        Envelope::from(*self).admits(est, truth, slop)
+    }
+}
+
+/// An answer's certified envelope: the applied summary's relative
+/// [`ErrorBound`] plus the decayed weight the answer may be missing
+/// (`under`: lost, shed, evicted or not-yet-visible mass) or may
+/// over-count (`over`: mass folded forward in time). It certifies
+/// `(truth − under)·(1 − lower) ≤ est ≤ (truth + over)·(1 + upper)`.
+///
+/// Serving layers add terms instead of rewriting the relative bound, so
+/// they stack in any order; [`to_bound`](Envelope::to_bound) is the one
+/// place terms become relative. Derivations: DESIGN.md §9, "Envelopes".
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Envelope {
+    /// The relative bound of the summary that produced the answer.
+    pub bound: ErrorBound,
+    /// Decayed weight the answer may be missing.
+    pub under: f64,
+    /// Decayed weight the answer may over-count.
+    pub over: f64,
+}
+
+impl From<ErrorBound> for Envelope {
+    fn from(bound: ErrorBound) -> Self {
+        Envelope {
+            bound,
+            under: 0.0,
+            over: 0.0,
+        }
+    }
+}
+
+impl Envelope {
+    /// Adds `mass` units the answer may miss, each weighing ≤ `cap`
+    /// (no mass adds nothing, even under an unbounded cap).
+    pub fn missing(mut self, mass: f64, cap: f64) -> Self {
+        self.under += if mass == 0.0 { 0.0 } else { mass * cap };
+        self
+    }
+
+    /// Adds `mass` units the answer may over-count by ≤ `cap` each.
+    pub fn excess(mut self, mass: f64, cap: f64) -> Self {
+        self.over += if mass == 0.0 { 0.0 } else { mass * cap };
+        self
+    }
+
+    /// Checks `est` against the envelope around `truth`, with `slop`
+    /// absolute tolerance for f64 summation noise. An unbounded side or
+    /// term voids the envelope, as in [`ErrorBound::admits`].
+    pub fn admits(&self, est: f64, truth: f64, slop: f64) -> bool {
+        let ErrorBound { lower, upper } = self.bound;
+        if !(self.bound.is_bounded() && self.under.is_finite() && self.over.is_finite()) {
             return true;
         }
-        let lo = truth * (1.0 - self.lower) - slop;
-        let hi = truth * (1.0 + self.upper) + slop;
-        est >= lo && est <= hi
+        // The summarized value lies in [truth − under, truth + over].
+        let low = if lower <= 1.0 {
+            truth - self.under
+        } else {
+            truth + self.over
+        };
+        est >= low * (1.0 - lower) - slop && est <= (truth + self.over) * (1.0 + upper) + slop
+    }
+
+    /// The relative bound certifying `est`:
+    /// `l' = 1 − est/(est/(1−l) + under)` and
+    /// `u' = u + over·(1+u)/(est/(1+u) − over)`, each side unbounded
+    /// (`l' = 1`, `u' = ∞`) where its formula degenerates.
+    pub fn to_bound(&self, est: f64) -> ErrorBound {
+        let ErrorBound { lower: l, upper: u } = self.bound;
+        let ceiling = est / (1.0 - l) + self.under;
+        // The floor's subtraction cancels when it is tiny next to
+        // `est/(1+u)`: shave that quotient's rounding off first.
+        let top = est / (1.0 + u);
+        let floor = top - self.over - 4.0 * f64::EPSILON * top;
+        ErrorBound {
+            lower: if self.under == 0.0 {
+                l
+            } else if l < 1.0 && self.under.is_finite() && ceiling > 0.0 {
+                1.0 - est / ceiling
+            } else {
+                1.0
+            },
+            upper: if self.over == 0.0 {
+                u
+            } else if u.is_finite() && self.over.is_finite() && floor > 0.0 {
+                u + self.over * (1.0 + u) / floor
+            } else {
+                f64::INFINITY
+            },
+        }
     }
 }
 
@@ -183,6 +268,14 @@ pub trait StreamAggregate: StorageAccounting {
     /// per backend.
     fn error_bound(&self) -> ErrorBound {
         ErrorBound::exact()
+    }
+
+    /// A sound cap on one strictly-past unit's weight in answers, what
+    /// an [`Envelope`] charges per missing unit: `∞` (always sound)
+    /// unless the backend forwards its decay's
+    /// [`weight_cap`](crate::DecayFunction::weight_cap).
+    fn unit_weight_cap(&self) -> f64 {
+        f64::INFINITY
     }
 
     /// A point-in-time copy of the summary, safe to query and

@@ -146,6 +146,30 @@ pub trait DecayFunction {
         None
     }
 
+    /// `sup_{x ≥ 1} g(x)`, what an [`crate::Envelope`] charges per
+    /// missing unit: `g(1)`, but `∞` for polyexponential decay, which
+    /// peaks near age `k/λ` (§3.4). DESIGN.md §9, "Envelopes".
+    fn weight_cap(&self) -> f64 {
+        match self.classify() {
+            DecayClass::PolyExponential { .. } => f64::INFINITY,
+            _ => self.weight(1),
+        }
+    }
+
+    /// `sup_{a ≥ 1} [g(a) − g(a + d)]`, what an [`crate::Envelope`]
+    /// charges per unit folded `d` ticks forward: the sup sits at
+    /// `a = 1` for ratio-monotone decay; any other `g` gaps by at most
+    /// [`weight_cap`](Self::weight_cap).
+    fn displacement_cap(&self, d: Time) -> f64 {
+        match self.classify() {
+            DecayClass::Constant => 0.0,
+            DecayClass::Exponential { .. } | DecayClass::RatioMonotone => {
+                (self.weight(1) - self.weight(1 + d)).max(0.0)
+            }
+            _ => self.weight_cap(),
+        }
+    }
+
     /// A structural classification hint used for backend selection.
     ///
     /// The default is [`DecayClass::General`]; closed-form families
@@ -180,6 +204,12 @@ impl<G: DecayFunction + ?Sized> DecayFunction for &G {
     fn horizon(&self) -> Option<Time> {
         (**self).horizon()
     }
+    fn weight_cap(&self) -> f64 {
+        (**self).weight_cap()
+    }
+    fn displacement_cap(&self, d: Time) -> f64 {
+        (**self).displacement_cap(d)
+    }
     fn classify(&self) -> DecayClass {
         (**self).classify()
     }
@@ -203,6 +233,12 @@ impl<G: DecayFunction + ?Sized> DecayFunction for Box<G> {
     }
     fn horizon(&self) -> Option<Time> {
         (**self).horizon()
+    }
+    fn weight_cap(&self) -> f64 {
+        (**self).weight_cap()
+    }
+    fn displacement_cap(&self, d: Time) -> f64 {
+        (**self).displacement_cap(d)
     }
     fn classify(&self) -> DecayClass {
         (**self).classify()

@@ -48,7 +48,7 @@ pub mod soa;
 pub mod storage;
 pub mod table;
 
-pub use aggregate::{ErrorBound, StreamAggregate};
+pub use aggregate::{Envelope, ErrorBound, StreamAggregate};
 pub use checkpoint::{Checkpoint, RestoreError};
 pub use combinators::{MaxOf, ProductOf, Scaled, SumOf};
 pub use exponential::Exponential;

@@ -437,6 +437,9 @@ impl td_decay::StreamAggregate for DominationEh {
         // either side of the true suffix count.
         td_decay::ErrorBound::symmetric(self.sites as f64 * self.epsilon)
     }
+    fn unit_weight_cap(&self) -> f64 {
+        1.0 // a (windowed) count: every live item weighs 1
+    }
 }
 
 impl StorageAccounting for DominationEh {

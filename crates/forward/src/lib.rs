@@ -574,7 +574,7 @@ impl<G: DecayFunction> ForwardEngine<G> {
 }
 
 macro_rules! forward_backend {
-    ($(#[$doc:meta])* $name:ident, $tag:expr, $query:ident, $bound:expr) => {
+    ($(#[$doc:meta])* $name:ident, $tag:expr, $query:ident, $bound:expr, $cap:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone)]
         pub struct $name<G> {
@@ -676,6 +676,11 @@ macro_rules! forward_backend {
                 let bound: fn(&ForwardEngine<G>) -> ErrorBound = $bound;
                 bound(&self.core)
             }
+
+            fn unit_weight_cap(&self) -> f64 {
+                let cap: fn(&ForwardEngine<G>) -> f64 = $cap;
+                cap(&self.core)
+            }
         }
 
         impl<G: DecayFunction> Checkpoint for $name<G> {
@@ -699,7 +704,13 @@ forward_backend!(
     ForwardDecaySum,
     TAG_FORWARD_SUM,
     sum_at,
-    |core| ErrorBound::symmetric(core.rel_bound())
+    |core| ErrorBound::symmetric(core.rel_bound()),
+    // A unit weighs the backward g(T − t) under exponential decay, else
+    // g(T − L)/g(t − L) ≤ 1.
+    |core| match core.decay.classify() {
+        DecayClass::Exponential { .. } => core.decay.weight_cap(),
+        _ => core.decay.weight_cap().max(1.0),
+    }
 );
 
 forward_backend!(
@@ -710,7 +721,8 @@ forward_backend!(
     ForwardDecayAverage,
     TAG_FORWARD_AVG,
     average_at,
-    |core| ErrorBound::symmetric(2.0 * core.rel_bound())
+    |core| ErrorBound::symmetric(2.0 * core.rel_bound()),
+    |_core| f64::INFINITY
 );
 
 forward_backend!(
@@ -725,7 +737,8 @@ forward_backend!(
     ForwardDecayVariance,
     TAG_FORWARD_VAR,
     variance_at,
-    |_core| ErrorBound::unbounded()
+    |_core| ErrorBound::unbounded(),
+    |_core| f64::INFINITY
 );
 
 #[cfg(test)]

@@ -76,14 +76,6 @@ pub trait KeyedCheckpoint: Checkpoint {
     }
 }
 
-/// The stream time an entry carries.
-fn entry_time(e: &WalEntry) -> Time {
-    match *e {
-        WalEntry::Observe(t, _) | WalEntry::Advance(t) => t,
-        WalEntry::ObserveKeyed(_, t, _) => t,
-    }
-}
-
 /// A decayed-stream summary whose history survives process death.
 pub struct DurableAggregate<B: Checkpoint> {
     inner: B,
@@ -125,21 +117,8 @@ impl<B: Checkpoint> DurableAggregate<B> {
         mut replay: impl FnMut(&mut B, &WalRecord),
     ) -> Result<(Self, RecoveryStats), RestoreError> {
         let (store, recovered) = DurableStore::open(storage, opts.store, 1)?;
-        if !allow_keyed
-            && recovered.tail_for(0).any(|r| {
-                r.entries
-                    .iter()
-                    .any(|e| matches!(e, WalEntry::ObserveKeyed(..)))
-            })
-        {
-            // Refuse before replay: feeding a keyed history through an
-            // un-keyed backend would silently collapse every key into
-            // one stream.
-            return Err(RestoreError::Invariant(
-                "WAL holds keyed (kind-2) entries; open this store with \
-                 open_keyed on a keyed backend"
-                    .to_string(),
-            ));
+        if !allow_keyed {
+            recovered.refuse_keyed(1)?;
         }
         let mut inner = make();
         let restored_checkpoint = match &recovered.checkpoints[0] {
@@ -158,7 +137,7 @@ impl<B: Checkpoint> DurableAggregate<B> {
         let last_tick = recovered
             .tail_for(0)
             .flat_map(|r| r.entries.iter())
-            .map(entry_time)
+            .map(WalEntry::time)
             .max()
             .unwrap_or_else(|| recovered.checkpoints[0].as_ref().map_or(0, |c| c.last_tick));
         let stats = RecoveryStats {
@@ -181,21 +160,22 @@ impl<B: Checkpoint> DurableAggregate<B> {
         ))
     }
 
-    fn log(&mut self, entries: &[WalEntry]) -> Result<(), RestoreError> {
+    /// Logs `entries` as one WAL record, applies them through `apply`,
+    /// then runs the cadence checkpoint — strictly **after** the record
+    /// is applied: a checkpoint claiming `covered_seq = N` must embody
+    /// all N records, or recovery would silently drop record N's effect.
+    fn logged(
+        &mut self,
+        entries: &[WalEntry],
+        apply: impl FnOnce(&mut B),
+    ) -> Result<(), RestoreError> {
         self.last_seq = self.store.append_record(0, entries)?;
         self.entries_applied += entries.len() as u64;
-        if let Some(t) = entries.iter().map(entry_time).max() {
+        if let Some(t) = entries.iter().map(WalEntry::time).max() {
             self.last_tick = self.last_tick.max(t);
         }
         self.records_since_ckpt += 1;
-        Ok(())
-    }
-
-    /// Cadence checkpoint, run strictly **after** the triggering record
-    /// has been applied to `inner` — a checkpoint claiming
-    /// `covered_seq = N` must embody all N records, or recovery would
-    /// silently drop record N's effect.
-    fn maybe_checkpoint(&mut self) -> Result<(), RestoreError> {
+        apply(&mut self.inner);
         if self.records_since_ckpt >= self.opts.checkpoint_every_records.max(1) {
             self.checkpoint_now()?;
         }
@@ -209,9 +189,7 @@ impl<B: Checkpoint> DurableAggregate<B> {
     /// state is recoverable; only the WAL-truncation maintenance
     /// failed).
     pub fn observe(&mut self, t: Time, f: u64) -> Result<(), RestoreError> {
-        self.log(&[WalEntry::Observe(t, f)])?;
-        self.inner.observe(t, f);
-        self.maybe_checkpoint()
+        self.logged(&[WalEntry::Observe(t, f)], |b| b.observe(t, f))
     }
 
     /// Logs then applies a sorted batch as one WAL record. An empty
@@ -227,9 +205,7 @@ impl<B: Checkpoint> DurableAggregate<B> {
                     .iter()
                     .map(|&(t, f)| WalEntry::Observe(t, f))
                     .collect();
-                self.log(&entries)?;
-                self.inner.observe_batch(items);
-                self.maybe_checkpoint()
+                self.logged(&entries, |b| b.observe_batch(items))
             }
         }
     }
@@ -237,9 +213,7 @@ impl<B: Checkpoint> DurableAggregate<B> {
     /// Logs then applies a clock advance. Error contract as
     /// [`observe`](Self::observe).
     pub fn advance(&mut self, t: Time) -> Result<(), RestoreError> {
-        self.log(&[WalEntry::Advance(t)])?;
-        self.inner.advance(t);
-        self.maybe_checkpoint()
+        self.logged(&[WalEntry::Advance(t)], |b| b.advance(t))
     }
 
     /// The decayed-sum estimate at `t` (memory only, infallible).
@@ -314,9 +288,9 @@ impl<B: KeyedCheckpoint> DurableAggregate<B> {
     /// Logs then applies one keyed observation. Error contract as
     /// [`observe`](Self::observe).
     pub fn observe_keyed(&mut self, key: u64, t: Time, f: u64) -> Result<(), RestoreError> {
-        self.log(&[WalEntry::ObserveKeyed(key, t, f)])?;
-        self.inner.observe_keyed(key, t, f);
-        self.maybe_checkpoint()
+        self.logged(&[WalEntry::ObserveKeyed(key, t, f)], |b| {
+            b.observe_keyed(key, t, f)
+        })
     }
 
     /// Logs then applies a time-sorted keyed batch as one WAL record.
@@ -333,9 +307,7 @@ impl<B: KeyedCheckpoint> DurableAggregate<B> {
                     .iter()
                     .map(|&(key, t, f)| WalEntry::ObserveKeyed(key, t, f))
                     .collect();
-                self.log(&entries)?;
-                self.inner.observe_keyed_batch(items);
-                self.maybe_checkpoint()
+                self.logged(&entries, |b| b.observe_keyed_batch(items))
             }
         }
     }
@@ -346,74 +318,60 @@ impl<B: KeyedCheckpoint> DurableAggregate<B> {
 /// and panic here; `open` screens them out up front, and keyed stores
 /// recover through [`replay_record_keyed`].
 pub fn replay_record<B: Checkpoint>(inner: &mut B, rec: &WalRecord) {
-    match rec.entries.as_slice() {
-        [] => {}
-        &[WalEntry::Observe(t, f)] => inner.observe(t, f),
-        &[WalEntry::Advance(t)] => inner.advance(t),
-        entries => {
-            if entries.iter().all(|e| matches!(e, WalEntry::Observe(..))) {
-                let items: Vec<(Time, u64)> = entries
-                    .iter()
-                    .map(|e| match *e {
-                        WalEntry::Observe(t, f) => (t, f),
-                        _ => unreachable!("filtered above"),
-                    })
-                    .collect();
-                inner.observe_batch(&items);
-            } else {
-                // Mixed records are never written today; replay them
-                // entry-by-entry rather than refusing.
-                for e in entries {
-                    match *e {
-                        WalEntry::Observe(t, f) => inner.observe(t, f),
-                        WalEntry::Advance(t) => inner.advance(t),
-                        WalEntry::ObserveKeyed(..) => {
-                            panic!("keyed WAL entry replayed through an un-keyed backend")
-                        }
-                    }
-                }
-            }
-        }
-    }
+    replay(inner, rec, |_, _| {
+        panic!("keyed WAL entry replayed through an un-keyed backend")
+    });
 }
 
-/// [`replay_record`] for keyed backends: replays kind-2 entries
-/// through the keyed ingest methods, preserving the original call
-/// shape (1 entry → `observe_keyed`, an all-keyed run →
-/// `observe_keyed_batch`).
+/// [`replay_record`] for keyed backends: kind-2 entries replay through
+/// [`KeyedCheckpoint::observe_keyed`] (one entry) or
+/// [`KeyedCheckpoint::observe_keyed_batch`] (an all-keyed run).
 pub fn replay_record_keyed<B: KeyedCheckpoint>(inner: &mut B, rec: &WalRecord) {
-    match rec.entries.as_slice() {
-        &[WalEntry::ObserveKeyed(key, t, f)] => inner.observe_keyed(key, t, f),
-        entries
-            if !entries.is_empty()
-                && entries
-                    .iter()
-                    .all(|e| matches!(e, WalEntry::ObserveKeyed(..))) =>
-        {
-            let items: Vec<(u64, Time, u64)> = entries
-                .iter()
-                .map(|e| match *e {
-                    WalEntry::ObserveKeyed(key, t, f) => (key, t, f),
-                    _ => unreachable!("filtered above"),
-                })
-                .collect();
-            inner.observe_keyed_batch(&items);
-        }
-        entries
-            if entries
-                .iter()
-                .any(|e| matches!(e, WalEntry::ObserveKeyed(..))) =>
-        {
-            // Mixed keyed/un-keyed records are never written today.
+    replay(inner, rec, |inner, items| match *items {
+        [(key, t, f)] => inner.observe_keyed(key, t, f),
+        _ => inner.observe_keyed_batch(items),
+    });
+}
+
+/// The call shape of a record: one entry is its own call, an
+/// all-observe run one `observe_batch`, an all-keyed run one `keyed`
+/// call. Mixed records are never written today; they replay entry by
+/// entry rather than refusing.
+fn replay<B: Checkpoint>(
+    inner: &mut B,
+    rec: &WalRecord,
+    mut keyed: impl FnMut(&mut B, &[(u64, Time, u64)]),
+) {
+    let observed: Option<Vec<(Time, u64)>> = rec
+        .entries
+        .iter()
+        .map(|e| match *e {
+            WalEntry::Observe(t, f) => Some((t, f)),
+            _ => None,
+        })
+        .collect();
+    let keyed_items: Option<Vec<(u64, Time, u64)>> = rec
+        .entries
+        .iter()
+        .map(|e| match *e {
+            WalEntry::ObserveKeyed(key, t, f) => Some((key, t, f)),
+            _ => None,
+        })
+        .collect();
+    match (rec.entries.as_slice(), observed, keyed_items) {
+        ([], ..) => {}
+        (&[WalEntry::Observe(t, f)], ..) => inner.observe(t, f),
+        (_, Some(items), _) => inner.observe_batch(&items),
+        (_, _, Some(items)) => keyed(inner, &items),
+        (entries, ..) => {
             for e in entries {
                 match *e {
                     WalEntry::Observe(t, f) => inner.observe(t, f),
                     WalEntry::Advance(t) => inner.advance(t),
-                    WalEntry::ObserveKeyed(key, t, f) => inner.observe_keyed(key, t, f),
+                    WalEntry::ObserveKeyed(key, t, f) => keyed(inner, &[(key, t, f)]),
                 }
             }
         }
-        _ => replay_record(inner, rec),
     }
 }
 

@@ -163,6 +163,24 @@ impl Recovered {
             .filter(move |r| r.shard == shard && r.seq > covered)
     }
 
+    /// Refuses, before any replay, a WAL tail for any of `shards`
+    /// holding keyed (kind-2) entries: an un-keyed backend would
+    /// silently collapse every key into one stream.
+    pub fn refuse_keyed(&self, shards: u32) -> Result<(), RestoreError> {
+        let mut tails = (0..shards).flat_map(|i| self.tail_for(i));
+        if tails.any(|r| {
+            r.entries
+                .iter()
+                .any(|e| matches!(e, WalEntry::ObserveKeyed(..)))
+        }) {
+            return Err(RestoreError::Invariant(
+                "WAL holds keyed (kind-2) entries; only DurableAggregate::open_keyed replays them"
+                    .to_string(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Total flattened entries shard `i`'s recovered state reflects
     /// once its tail is replayed.
     pub fn entries_applied(&self, shard: u32) -> u64 {
@@ -550,14 +568,7 @@ impl DurableStore {
                 }
             }
             SyncPolicy::IntervalTicks(dt) => {
-                let t_max = entries
-                    .iter()
-                    .map(|e| match *e {
-                        WalEntry::Observe(t, _) | WalEntry::Advance(t) => t,
-                        WalEntry::ObserveKeyed(_, t, _) => t,
-                    })
-                    .max();
-                if let Some(t) = t_max {
+                if let Some(t) = entries.iter().map(WalEntry::time).max() {
                     match self.last_sync_tick {
                         None => {
                             // First logged tick: set the baseline and

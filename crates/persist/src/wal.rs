@@ -84,6 +84,13 @@ pub enum WalEntry {
 }
 
 impl WalEntry {
+    /// The stream tick this entry carries.
+    pub fn time(&self) -> Time {
+        match *self {
+            WalEntry::Observe(t, _) | WalEntry::Advance(t) | WalEntry::ObserveKeyed(_, t, _) => t,
+        }
+    }
+
     fn encode_into(self, out: &mut Vec<u8>) {
         match self {
             WalEntry::Observe(t, f) => {

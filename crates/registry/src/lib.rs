@@ -21,8 +21,9 @@
 //!   whose remaining decayed mass can no longer exceed a threshold.
 //!   The certified upper bound on everything an evicted key could
 //!   still have answered is accumulated into a registry-level slack,
-//!   so whole-registry answers stay honest: the reported
-//!   [`ErrorBound`] widens by exactly the mass that was dropped.
+//!   so answers stay honest: it is the `under` term of every answer's
+//!   [`Envelope`] — weight the answer may be missing — and widens only
+//!   the lower side.
 //!   Evicted keys resurrect as fresh slots (generation bumped, state
 //!   re-made) — a recycled slot can never leak a prior tenant's mass.
 //! - **One segmented checkpoint.** [`Checkpoint`] for the whole
@@ -36,7 +37,7 @@ use std::sync::Arc;
 use td_decay::checkpoint::{
     fingerprint, Checkpoint, CheckpointReader, CheckpointWriter, RestoreError,
 };
-use td_decay::{ErrorBound, StorageAccounting, StreamAggregate, Time};
+use td_decay::{Envelope, ErrorBound, StorageAccounting, StreamAggregate, Time};
 use td_persist::KeyedCheckpoint;
 
 mod index;
@@ -113,11 +114,15 @@ pub struct KeyAnswer {
 }
 
 impl KeyAnswer {
-    /// Does `truth` sit inside this answer's envelope (relative bound
-    /// plus eviction slack plus `slop` for float noise)?
+    /// The backend's bound, with the eviction slack as missing weight.
+    pub fn envelope(&self) -> Envelope {
+        Envelope::from(self.bound).missing(self.evicted_slack, 1.0)
+    }
+
+    /// Does `truth` sit inside this answer's envelope (`slop` absorbs
+    /// float noise)?
     pub fn admits(&self, truth: f64, slop: f64) -> bool {
-        self.bound
-            .admits(self.estimate, truth, slop + self.evicted_slack)
+        self.envelope().admits(self.estimate, truth, slop)
     }
 }
 
@@ -192,9 +197,9 @@ pub struct KeyedRegistry<B: StreamAggregate> {
     /// Constructor for fresh per-key state (every slot must be
     /// identically configured or merges/restores would be unsound).
     make: Arc<dyn Fn() -> B + Send + Sync>,
-    /// Envelope computed by the latest whole-registry `query` (the
-    /// `StreamAggregate` contract reports it via `error_bound`).
-    last_bound: Cell<ErrorBound>,
+    /// Envelope of the latest whole-registry `query` (reported by
+    /// `error_bound`); `None` until one runs after construction/restore.
+    last_bound: Cell<Option<ErrorBound>>,
     /// Scratch for `observe_keyed_batch`: `slot << 32 | input index`
     /// packed into one `u64` so the grouping sort compares single
     /// words instead of field-by-field tuples.
@@ -240,7 +245,7 @@ impl<B: StreamAggregate> KeyedRegistry<B> {
             touches_total: 0,
             eviction_log: Vec::new(),
             make: Arc::new(make),
-            last_bound: Cell::new(ErrorBound::exact()),
+            last_bound: Cell::new(None),
             scratch: Vec::new(),
             run_items: Vec::new(),
         }
@@ -540,6 +545,27 @@ impl<B: StreamAggregate> KeyedRegistry<B> {
         }
     }
 
+    /// Backend states of the resident keys.
+    fn resident(&self) -> impl Iterator<Item = &B> {
+        self.states
+            .iter()
+            .zip(&self.occupied)
+            .filter_map(|(st, &live)| live.then_some(st))
+    }
+
+    /// The resident keys' worst bound, with evicted mass as weight the
+    /// answer may be missing (eviction only ever *removes* mass).
+    fn envelope(&self) -> Envelope {
+        let worst = self
+            .resident()
+            .map(|st| st.error_bound())
+            .fold(ErrorBound::exact(), |w, b| ErrorBound {
+                lower: w.lower.max(b.lower),
+                upper: w.upper.max(b.upper),
+            });
+        Envelope::from(worst).missing(self.evicted_mass, 1.0)
+    }
+
     /// The auto-fanout key for the un-keyed facade.
     fn auto_key(&self, f: u64) -> u64 {
         index::hash_key(f ^ 0xA07C_5EED_u64) % AUTO_FANOUT
@@ -617,39 +643,8 @@ impl<B: StreamAggregate> StreamAggregate for KeyedRegistry<B> {
     }
 
     fn query(&self, t: Time) -> f64 {
-        let mut total = 0.0;
-        let mut worst = ErrorBound::exact();
-        for i in 0..self.states.len() {
-            if self.occupied[i] {
-                total += self.states[i].query(t);
-                let b = self.states[i].error_bound();
-                worst.lower = worst.lower.max(b.lower);
-                worst.upper = worst.upper.max(b.upper);
-            }
-        }
-        // Eviction only ever *removes* mass, so it widens the lower
-        // side alone. With per-key relative bound ε and dropped mass
-        // E: truth ≤ est/(1-ε_low) + E ≤ ... rearranged into relative
-        // form, lower' = ε_low + (1+ε_up)·E/est suffices because
-        // truth_resident ≥ est/(1+ε_up). When the estimate is ~0 the
-        // relative form degenerates; lower = 1.0 (truth·(1-1) = 0 ≤
-        // est) stays sound for non-negative aggregates.
-        let bound = if self.evicted_mass > 0.0 {
-            if total > f64::MIN_POSITIVE {
-                ErrorBound {
-                    lower: worst.lower + (1.0 + worst.upper) * self.evicted_mass / total,
-                    upper: worst.upper,
-                }
-            } else {
-                ErrorBound {
-                    lower: 1.0,
-                    upper: worst.upper,
-                }
-            }
-        } else {
-            worst
-        };
-        self.last_bound.set(bound);
+        let total = self.resident().fold(0.0, |sum, st| sum + st.query(t));
+        self.last_bound.set(Some(self.envelope().to_bound(total)));
         total
     }
 
@@ -682,8 +677,17 @@ impl<B: StreamAggregate> StreamAggregate for KeyedRegistry<B> {
         }
     }
 
+    /// The latest whole-registry answer's envelope; with none yet, made
+    /// relative against an estimate of 0, so evicted mass reports
+    /// `lower = 1`.
     fn error_bound(&self) -> ErrorBound {
-        self.last_bound.get()
+        self.last_bound
+            .get()
+            .unwrap_or_else(|| self.envelope().to_bound(0.0))
+    }
+
+    fn unit_weight_cap(&self) -> f64 {
+        (self.make)().unit_weight_cap()
     }
 }
 
@@ -834,7 +838,7 @@ impl<B: StreamAggregate + Checkpoint> Checkpoint for KeyedRegistry<B> {
         self.sweep_visits = sweep_visits;
         self.touches_total = touches_total;
         self.eviction_log.clear();
-        self.last_bound.set(ErrorBound::exact());
+        self.last_bound.set(None);
         Ok(())
     }
 }
@@ -1093,6 +1097,30 @@ mod tests {
             hot + residual
         );
         assert!(bound.lower > ErrorBound::symmetric(0.0).lower);
+    }
+
+    #[test]
+    fn restored_evicting_registry_never_claims_exact() {
+        let mut r = reg(1e-3);
+        for key in 0..32u64 {
+            r.observe_keyed(key, 0, 100);
+        }
+        for t in 1..3000u64 {
+            r.observe_keyed(0, t, 1);
+        }
+        assert!(r.evicted_mass() > 0.0);
+        // Before any whole-registry answer, and again after a restore,
+        // dropped mass leaves only the sound fallback.
+        assert_eq!(StreamAggregate::error_bound(&r).lower, 1.0);
+        let mut twin = reg(1e-3);
+        twin.restore_checkpoint(&r.save_checkpoint()).unwrap();
+        assert_eq!(twin.evicted_mass().to_bits(), r.evicted_mass().to_bits());
+        assert_eq!(StreamAggregate::error_bound(&twin).lower, 1.0);
+        // A query computes the real envelope, which still admits truth.
+        let est = StreamAggregate::query(&twin, 3000);
+        let bound = StreamAggregate::error_bound(&twin);
+        assert!(bound.lower > 0.0 && bound.lower < 1.0, "{bound:?}");
+        assert!(bound.admits(est, est + twin.evicted_mass(), 1e-9));
     }
 
     #[test]

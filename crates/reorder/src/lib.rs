@@ -26,11 +26,11 @@
 //!   stream *minus exactly the rejected mass* (certified by
 //!   `td-conformance`'s lateness matrix).
 //! * [`Fold`](LatenessPolicy::Fold) — the item is applied at the
-//!   current watermark tick `W`, and the stage widens the self-reported
-//!   [`ErrorBound`] by the folded mass times the worst-case weight gap
-//!   `g(T−W) − g(T−t)` (see [`Reorderer::query_with_bound`] for the
-//!   derivation). The answer stays inside the *widened* envelope
-//!   against an oracle fed the true-timestamp stream.
+//!   current watermark tick `W`, and the stage adds the folded mass
+//!   times the decay's [`displacement_cap`](DecayFunction::displacement_cap)
+//!   to its [`Envelope`] (see [`Reorderer::query_with_bound`]). The
+//!   answer stays inside the *widened* envelope against an oracle fed
+//!   the true-timestamp stream.
 //!
 //! The stage is deliberately synchronous and unsharded: `td-shard`
 //! composes it in front of its coordinator (one reorder buffer per
@@ -45,7 +45,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use td_decay::{DecayClass, DecayFunction, ErrorBound, StreamAggregate, Time};
+use td_decay::{DecayFunction, Envelope, ErrorBound, StreamAggregate, Time};
 
 /// What to do with an item whose timestamp is below the watermark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,17 +153,13 @@ pub struct ReorderStats {
 }
 
 /// One fold event: `mass` units applied at watermark `tick` instead of
-/// their true (earlier) timestamps. Kept for query-time envelope
-/// widening; consecutive same-tick folds coalesce, so the list grows
-/// only when the watermark moves between rejections — bounded by the
-/// number of *distinct* fold ticks, not by folded items.
+/// their true (earlier) timestamps, kept for the query-time `under`
+/// term. Same-tick folds coalesce: the list grows with *distinct* fold
+/// ticks, not folded items.
 #[derive(Debug, Clone, Copy)]
 struct FoldEvent {
     tick: Time,
     mass: u64,
-    /// Σ f · (worst-case over-weighting per unit mass) for this tick's
-    /// folds — the absolute over-estimate cap contributed.
-    over_risk: f64,
 }
 
 /// A watermark hook: invoked with `(&mut inner, W)` after every
@@ -187,6 +183,8 @@ pub struct Reorderer<A: StreamAggregate> {
     rejected_mass: u64,
     folded_mass: u64,
     folds: Vec<FoldEvent>,
+    /// Every fold's over-count, as a running `over` term.
+    displaced: Envelope,
     /// Scratch for sorted release batches (capacity reused).
     scratch: Vec<Pending>,
     batch: Vec<(Time, u64)>,
@@ -252,6 +250,7 @@ impl<A: StreamAggregate> Reorderer<A> {
             rejected_mass: 0,
             folded_mass: 0,
             folds: Vec::new(),
+            displaced: Envelope::from(ErrorBound::exact()),
             scratch: Vec::new(),
             batch: Vec::new(),
             last_bound: Cell::new(None),
@@ -470,35 +469,25 @@ impl<A: StreamAggregate> Reorderer<A> {
         self.query_with_bound(t).0
     }
 
-    /// The answer at `t` together with its certified envelope.
-    ///
-    /// # Envelope widening for folded mass
-    ///
-    /// A late item `(t_i, f_i)` folded at watermark `w_i > t_i` is
-    /// weighted `g(T − w_i)` instead of `g(T − t_i)` at query time `T`.
-    ///
-    /// * **Over-estimate** (`T > w_i`): `g` is non-increasing, so the
-    ///   folded weight exceeds the true one by at most
-    ///   `Δ_i = f_i · sup_{a ≥ 1} [g(a) − g(a + d_i)]`, `d_i = w_i −
-    ///   t_i`. For ratio-monotone decay (exponential, polynomial; §5)
-    ///   the sup is attained at `a = 1`, giving the tight
-    ///   `f_i · (g(1) − g(1 + d_i))`; for constant decay it is 0
-    ///   (folding is exact); otherwise the sound cap is `f_i · g(1)`.
-    ///   With `est ≤ v_app·(1+u)` and `v_app ≤ v_true + Δ`, the widened
-    ///   upper side is `u' = u + Δ·(1+u) / (est/(1+u) − Δ)` (unbounded
-    ///   when the denominator is not positive).
-    /// * **Under-estimate** (`T ≤ w_i`): the fold is not yet visible
-    ///   (items at the query tick are excluded, §2.1) while the true
-    ///   item may be — the answer can miss up to `D = mass(w_i ≥ T) ·
-    ///   g(1)`. The lower side widens exactly like the shard engine's
-    ///   mass-at-risk rule: `l' = 1 − est / (est/(1−l) + D)`.
-    ///
-    /// With no folded mass the wrapped backend's own envelope is
-    /// returned untouched.
+    /// The answer at `t` with its certified envelope: the wrapped
+    /// backend's bound, every fold's over-count, and as missing weight
+    /// the folds at ticks `≥ t`, not yet visible (DESIGN.md §9,
+    /// "Envelopes"). With no folds it is the backend's own bound.
     pub fn query_with_bound(&self, t: Time) -> (f64, ErrorBound) {
         let est = self.inner.query(t);
-        let base = self.inner.error_bound();
-        let bound = self.widen(est, t, base);
+        let unseen: u64 = self
+            .folds
+            .iter()
+            .rev()
+            .take_while(|ev| ev.tick >= t)
+            .map(|ev| ev.mass)
+            .sum();
+        let bound = Envelope {
+            bound: self.inner.error_bound(),
+            ..self.displaced
+        }
+        .missing(unseen as f64, self.decay.weight_cap())
+        .to_bound(est);
         self.last_bound.set(Some(bound));
         (est, bound)
     }
@@ -531,89 +520,16 @@ impl<A: StreamAggregate> Reorderer<A> {
                 // so observing at W keeps the backend non-decreasing.
                 self.inner.observe(w, f);
                 self.folded_mass += f;
-                let over = f as f64 * self.unit_over_risk(w - t);
+                self.displaced = self
+                    .displaced
+                    .excess(f as f64, self.decay.displacement_cap(w - t));
                 match self.folds.last_mut() {
-                    Some(ev) if ev.tick == w => {
-                        ev.mass += f;
-                        ev.over_risk += over;
-                    }
-                    _ => self.folds.push(FoldEvent {
-                        tick: w,
-                        mass: f,
-                        over_risk: over,
-                    }),
+                    Some(ev) if ev.tick == w => ev.mass += f,
+                    _ => self.folds.push(FoldEvent { tick: w, mass: f }),
                 }
                 Ok(())
             }
         }
-    }
-
-    /// Worst-case per-unit over-weighting of mass displaced forward by
-    /// `d ≥ 1` ticks: `sup_{a ≥ 1} [g(a) − g(a + d)]`.
-    fn unit_over_risk(&self, d: u64) -> f64 {
-        let g1 = self.decay.weight(1);
-        match self.decay.classify() {
-            DecayClass::Constant => 0.0,
-            // Ratio-monotone g (exponential is a member): g(a)−g(a+d) =
-            // g(a)·(1 − g(a+d)/g(a)) is a product of two non-negative
-            // non-increasing factors of a, so the sup sits at a = 1.
-            DecayClass::Exponential { .. } | DecayClass::RatioMonotone => {
-                (g1 - self.decay.weight(1 + d)).max(0.0)
-            }
-            // Poly-exponential is not non-increasing (§3.4): no sound
-            // finite cap exists from g(1) alone.
-            DecayClass::PolyExponential { .. } => f64::INFINITY,
-            // Any contract-conforming (non-increasing) g: the gap never
-            // exceeds g(a) ≤ g(1). Sliding windows attain it.
-            DecayClass::SlidingWindow { .. } | DecayClass::General => g1,
-        }
-    }
-
-    fn widen(&self, est: f64, t: Time, base: ErrorBound) -> ErrorBound {
-        if self.folds.is_empty() {
-            return base;
-        }
-        let over: f64 = self.folds.iter().map(|ev| ev.over_risk).sum();
-        // Folds at ticks ≥ t are invisible to the answer while their
-        // true-time items may be visible: under-estimate risk.
-        let under_mass: u64 = self
-            .folds
-            .iter()
-            .rev()
-            .take_while(|ev| ev.tick >= t)
-            .map(|ev| ev.mass)
-            .sum();
-        let g1 = self.decay.weight(1);
-        let sound_g1 = !matches!(self.decay.classify(), DecayClass::PolyExponential { .. });
-
-        let upper = if over == 0.0 {
-            base.upper
-        } else if base.upper.is_finite() && over.is_finite() {
-            let floor = est / (1.0 + base.upper) - over;
-            if floor > 0.0 {
-                base.upper + over * (1.0 + base.upper) / floor
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            f64::INFINITY
-        };
-
-        let lower = if under_mass == 0 {
-            base.lower
-        } else if base.lower < 1.0 && sound_g1 {
-            let d_max = under_mass as f64 * g1;
-            let ceiling = est / (1.0 - base.lower) + d_max;
-            if ceiling > 0.0 {
-                1.0 - est / ceiling
-            } else {
-                base.lower
-            }
-        } else {
-            1.0
-        };
-
-        ErrorBound { lower, upper }
     }
 
     /// Drains every heap's `≤ W` prefix, merges the drained items into

@@ -57,10 +57,10 @@
 //! quarantined it folds the *live* snapshots plus each dead shard's
 //! last checkpoint, and widens the reported [`ErrorBound`] by the
 //! checkpointed **mass at risk** — every unit of mass that was
-//! submitted but is not covered by any folded state can contribute at
-//! most `g(1)` each (items are strictly past), so the answer's
-//! self-reported envelope still provably covers the truth. The same
-//! widening covers mass dropped by the
+//! submitted but is not covered by any folded state is weight the
+//! answer may be missing (an [`Envelope`] `under` term), so the
+//! answer's self-reported envelope still provably covers the truth.
+//! The same widening covers mass dropped by the
 //! [`BackpressurePolicy::DropNewest`] policy and mass lost during
 //! recovery. Degraded answers carry the list of dead shards in
 //! [`Answer::degraded`].
@@ -84,7 +84,7 @@ use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use td_decay::checkpoint::{Checkpoint, RestoreError};
-use td_decay::{ErrorBound, StorageAccounting, StreamAggregate, Time};
+use td_decay::{Envelope, ErrorBound, StorageAccounting, StreamAggregate, Time};
 use td_persist::{DurableStore, ShardCheckpoint, Storage, StoreOptions, WalEntry};
 
 /// How many messages a worker drains per ring pop (and the batch fed to
@@ -529,8 +529,8 @@ pub struct ShardedAggregate<B> {
     scratch: Vec<Vec<Msg>>,
     /// A pristine backend from the same `make` closure as the shards:
     /// the restore target for dead shards' checkpoints, the fold base
-    /// when nothing survives, and the probe for the `g(1)` envelope
-    /// widening.
+    /// when nothing survives, and the source of the per-unit weight cap
+    /// that prices missing mass.
     template: B,
     /// Checkpoint capability (Some only for supervised engines).
     ckpt_ops: Option<CkptFns<B>>,
@@ -574,11 +574,7 @@ impl DurableWorker {
             .append_record(self.shard, &entries)?;
         self.last_seq = seq;
         self.entries_applied += entries.len() as u64;
-        for e in &entries {
-            let t = match *e {
-                WalEntry::Observe(t, _) | WalEntry::Advance(t) => t,
-                WalEntry::ObserveKeyed(_, t, _) => t,
-            };
+        if let Some(t) = entries.iter().map(WalEntry::time).max() {
             self.last_tick = self.last_tick.max(t);
         }
         Ok(())
@@ -621,6 +617,24 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Advances `parts` to the shared clock `t_sync` (0: never advanced)
+/// and folds them with `merge_from`; `empty` is the fold base when no
+/// part survives.
+fn merge_at<B: StreamAggregate>(parts: Vec<B>, t_sync: Time, empty: impl FnOnce() -> B) -> B {
+    let mut it = parts.into_iter();
+    let mut merged = it.next().unwrap_or_else(empty);
+    if t_sync > 0 {
+        merged.advance(t_sync);
+    }
+    for mut p in it {
+        if t_sync > 0 {
+            p.advance(t_sync);
+        }
+        merged.merge_from(&p);
+    }
+    merged
 }
 
 /// Applies one drained chunk: coalesce runs of observations into
@@ -1005,22 +1019,9 @@ impl<B: StreamAggregate + Checkpoint + Clone + Send + 'static> ShardedAggregate<
         };
         let (store, recovered) =
             DurableStore::open(durability.storage, durability.options, shards as u32)?;
-        // Refuse before replay, as `DurableAggregate::open` does: keys
-        // were never resolved to shards, so a keyed history (written by
-        // `DurableAggregate::open_keyed`) has no shard-level meaning.
-        if (0..shards as u32).any(|i| {
-            recovered.tail_for(i).any(|r| {
-                r.entries
-                    .iter()
-                    .any(|e| matches!(e, WalEntry::ObserveKeyed(..)))
-            })
-        }) {
-            return Err(RestoreError::Invariant(
-                "WAL holds keyed (kind-2) entries; a sharded-supervisor store \
-                 never logs them"
-                    .to_string(),
-            ));
-        }
+        // Keys were never resolved to shards, so a keyed history has no
+        // shard-level meaning.
+        recovered.refuse_keyed(shards as u32)?;
         let mut inits = Vec::with_capacity(shards);
         let mut entries_applied = Vec::with_capacity(shards);
         let mut checkpoints_restored = 0usize;
@@ -1045,11 +1046,7 @@ impl<B: StreamAggregate + Checkpoint + Clone + Send + 'static> ShardedAggregate<
             for rec in recovered.tail_for(i as u32) {
                 buf.clear();
                 buf.extend(rec.entries.iter().map(entry_to_msg));
-                for e in &rec.entries {
-                    let t = match *e {
-                        WalEntry::Observe(t, _) | WalEntry::Advance(t) => t,
-                        WalEntry::ObserveKeyed(_, t, _) => t,
-                    };
+                if let Some(t) = rec.entries.iter().map(WalEntry::time).max() {
                     last_tick = last_tick.max(t);
                 }
                 apply_chunk(&mut b, &buf, &mut items);
@@ -1451,85 +1448,7 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
                 );
             }
         }
-        if t_sync > 0 {
-            for p in &mut parts {
-                p.advance(t_sync);
-            }
-        }
-        let mut it = parts.into_iter();
-        let mut merged = match it.next() {
-            Some(first) => first,
-            None => {
-                let mut b = self.template.clone();
-                if t_sync > 0 {
-                    b.advance(t_sync);
-                }
-                b
-            }
-        };
-        for p in it {
-            merged.merge_from(&p);
-        }
-        (merged, risk)
-    }
-
-    /// Widens `base` (the folded summary's own envelope for `value`)
-    /// to also cover `risk_mass` units of missing strictly-past mass.
-    ///
-    /// Every missing item weighs at most `g(1)` (weights are
-    /// non-increasing and at-tick mass is invisible), so the missing
-    /// contribution is at most `D = risk_mass · g(1)`. With
-    /// `truth ≤ value/(1−l) + D` the sound lower widening is
-    /// `L = 1 − value / (value/(1−l) + D)`; the upper side is
-    /// unchanged — missing mass only makes the answer an
-    /// *under*-estimate. `g(1)` is probed through a fresh template
-    /// backend (observe 1 unit at t=1, query at t=2), inflated by the
-    /// probe's own error bound.
-    fn widen_for_missing(&self, base: ErrorBound, value: f64, risk_mass: u64) -> ErrorBound {
-        if risk_mass == 0 {
-            return base;
-        }
-        let mut probe = self.template.clone();
-        probe.observe(1, 1);
-        let est = probe.query(2);
-        let l_probe = probe.error_bound().lower;
-        let g1 = if l_probe < 1.0 && est.is_finite() {
-            est / (1.0 - l_probe)
-        } else {
-            f64::INFINITY
-        };
-        let d_max = risk_mass as f64 * g1;
-        let lower = if base.lower < 1.0 && d_max.is_finite() {
-            let ceiling = value / (1.0 - base.lower) + d_max;
-            if ceiling > 0.0 {
-                1.0 - value / ceiling
-            } else {
-                // No mass anywhere: truth is 0 and so is the answer.
-                base.lower
-            }
-        } else {
-            // `lower = 1` admits any under-estimate (est ≥ truth·0),
-            // which is the only sound claim without a finite g(1).
-            1.0
-        };
-        ErrorBound {
-            lower,
-            upper: base.upper,
-        }
-    }
-
-    /// Serves the degraded answer: live snapshots + dead checkpoints,
-    /// envelope widened by the mass at risk. Bypasses the epoch cache.
-    fn degraded_answer(&self, t: Time, dead: &[usize]) -> Answer {
-        let (merged, risk) = self.fold_parts(dead);
-        let value = merged.query(t);
-        let bound = self.widen_for_missing(merged.error_bound(), value, risk);
-        Answer {
-            value,
-            bound,
-            degraded: dead.to_vec(),
-            complete_up_to: self.complete_up_to(),
-        }
+        (merge_at(parts, t_sync, || self.template.clone()), risk)
     }
 
     /// Refreshes (or reuses) the epoch-cached merged summary. Callers
@@ -1551,6 +1470,53 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         cache
     }
 
+    /// The one query path: barrier (bounded by `deadline`; `wedged`
+    /// shards count as dead), then the healthy epoch-cached summary or
+    /// a fold of live snapshots and dead shards' checkpoints (always
+    /// when `fresh`) with the mass at risk as missing weight (DESIGN.md
+    /// §9, "Envelopes"), then the `last_bound` update. `Err(i)`: shard
+    /// `i` missed the deadline. `t = None` asks for the envelope alone:
+    /// a NaN-valued answer when healthy, `Ok(None)` when degraded.
+    fn serve(
+        &self,
+        t: Option<Time>,
+        fresh: bool,
+        deadline: Option<Instant>,
+        wedged: &[usize],
+    ) -> Result<Option<Answer>, usize> {
+        let mut dead = self.barrier_check(deadline, wedged)?;
+        dead.extend_from_slice(wedged);
+        dead.sort_unstable();
+        dead.dedup();
+        let healthy = dead.is_empty() && self.widening_mass() == 0;
+        if t.is_none() && !healthy {
+            return Ok(None);
+        }
+        let answer = |merged: &B, risk: u64| {
+            let value = t.map_or(f64::NAN, |t| merged.query(t));
+            let mut env = Envelope::from(merged.error_bound());
+            if risk > 0 {
+                env = env.missing(risk as f64, self.template.unit_weight_cap());
+            }
+            Answer {
+                value,
+                bound: env.to_bound(value),
+                degraded: dead.clone(),
+                complete_up_to: self.complete_up_to(),
+            }
+        };
+        if healthy && !fresh {
+            let mut cache = self.refreshed_cache();
+            let ans = answer(cache.merged.as_ref().expect("refreshed_cache builds it"), 0);
+            cache.last_bound = Some(ans.bound);
+            return Ok(Some(ans));
+        }
+        let (merged, risk) = self.fold_parts(&dead);
+        let ans = answer(&merged, risk);
+        self.cache.lock().expect("cache poisoned").last_bound = Some(ans.bound);
+        Ok(Some(ans))
+    }
+
     /// The full-fidelity query path: barrier with a deadline, then
     /// either the healthy epoch-cached answer or a degraded answer
     /// folded from live snapshots plus dead shards' checkpoints, with
@@ -1563,25 +1529,10 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
     /// via the trait-level [`StreamAggregate::query`].
     pub fn try_query(&self, t: Time) -> Result<Answer, QueryError> {
         let deadline = Instant::now() + self.barrier_deadline;
-        let dead = self
-            .barrier_check(Some(deadline), &[])
-            .map_err(|shard| QueryError::Wedged { shard })?;
-        let answer = if dead.is_empty() && self.widening_mass() == 0 {
-            let mut cache = self.refreshed_cache();
-            let merged = cache.merged.as_ref().expect("refreshed_cache builds it");
-            let ans = Answer {
-                value: merged.query(t),
-                bound: merged.error_bound(),
-                degraded: Vec::new(),
-                complete_up_to: self.complete_up_to(),
-            };
-            cache.last_bound = Some(ans.bound);
-            return Ok(ans);
-        } else {
-            self.degraded_answer(t, &dead)
-        };
-        self.cache.lock().expect("cache poisoned").last_bound = Some(answer.bound);
-        Ok(answer)
+        match self.serve(Some(t), false, Some(deadline), &[]) {
+            Ok(ans) => Ok(ans.expect("a query tick always answers")),
+            Err(shard) => Err(QueryError::Wedged { shard }),
+        }
     }
 
     /// The query path with the epoch cache bypassed: barrier, snapshot,
@@ -1589,14 +1540,10 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
     /// would cost without the cache; the e13 experiment measures the
     /// two side by side.
     pub fn query_uncached(&self, t: Time) -> f64 {
-        let dead = self
-            .barrier_check(None, &[])
-            .expect("no deadline, cannot wedge");
-        if dead.is_empty() && self.widening_mass() == 0 {
-            self.fold_parts(&[]).0.query(t)
-        } else {
-            self.degraded_answer(t, &dead).value
-        }
+        self.serve(Some(t), true, None, &[])
+            .expect("no deadline, cannot wedge")
+            .expect("a query tick always answers")
+            .value
     }
 
     /// Shuts the workers down (each drains its ring to empty first),
@@ -1663,17 +1610,7 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         if let Some(e) = first_err {
             return Err(e);
         }
-        if t_sync > 0 {
-            for b in &mut backends {
-                b.advance(t_sync);
-            }
-        }
-        let mut it = backends.into_iter();
-        let mut merged = it.next().expect("at least one shard");
-        for b in it {
-            merged.merge_from(&b);
-        }
-        Ok(merged)
+        Ok(merge_at(backends, t_sync, || self.template.clone()))
     }
 }
 
@@ -1741,23 +1678,8 @@ impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAgg
         let mut wedged: Vec<usize> = Vec::new();
         loop {
             let deadline = Instant::now() + self.barrier_deadline;
-            match self.barrier_check(Some(deadline), &wedged) {
-                Ok(mut dead) => {
-                    if dead.is_empty() && wedged.is_empty() && self.widening_mass() == 0 {
-                        let mut cache = self.refreshed_cache();
-                        let merged = cache.merged.as_ref().expect("refreshed_cache builds it");
-                        let value = merged.query(t);
-                        let bound = merged.error_bound();
-                        cache.last_bound = Some(bound);
-                        return value;
-                    }
-                    dead.extend_from_slice(&wedged);
-                    dead.sort_unstable();
-                    dead.dedup();
-                    let ans = self.degraded_answer(t, &dead);
-                    self.cache.lock().expect("cache poisoned").last_bound = Some(ans.bound);
-                    return ans.value;
-                }
+            match self.serve(Some(t), false, Some(deadline), &wedged) {
+                Ok(ans) => return ans.expect("a query tick always answers").value,
                 Err(shard) => wedged.push(shard),
             }
         }
@@ -1815,23 +1737,19 @@ impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAgg
     /// first; with no answer to stand on the envelope is unbounded.
     fn error_bound(&self) -> ErrorBound {
         let deadline = Instant::now() + self.barrier_deadline;
-        if let Ok(dead) = self.barrier_check(Some(deadline), &[]) {
-            if dead.is_empty() && self.widening_mass() == 0 {
-                let mut cache = self.refreshed_cache();
-                let bound = cache
-                    .merged
-                    .as_ref()
-                    .expect("refreshed_cache builds it")
-                    .error_bound();
-                cache.last_bound = Some(bound);
-                return bound;
-            }
+        match self.serve(None, false, Some(deadline), &[]) {
+            Ok(Some(ans)) => ans.bound,
+            _ => self
+                .cache
+                .lock()
+                .expect("cache poisoned")
+                .last_bound
+                .unwrap_or_else(ErrorBound::unbounded),
         }
-        self.cache
-            .lock()
-            .expect("cache poisoned")
-            .last_bound
-            .unwrap_or_else(ErrorBound::unbounded)
+    }
+
+    fn unit_weight_cap(&self) -> f64 {
+        self.template.unit_weight_cap()
     }
 }
 
@@ -1939,6 +1857,9 @@ mod tests {
         }
         fn error_bound(&self) -> ErrorBound {
             self.inner.error_bound()
+        }
+        fn unit_weight_cap(&self) -> f64 {
+            self.inner.unit_weight_cap()
         }
     }
 

@@ -1364,6 +1364,9 @@ impl<G: DecayFunction> td_decay::StreamAggregate for Wbmh<G> {
     fn merge_from(&mut self, other: &Self) {
         Wbmh::merge_from(self, other)
     }
+    fn unit_weight_cap(&self) -> f64 {
+        self.decay.weight_cap()
+    }
     fn error_bound(&self) -> td_decay::ErrorBound {
         // With exact bucket counts the Paper estimator weights every
         // item at its bucket's newest age, so the answer is one-sided
