@@ -3,7 +3,11 @@
 //! All four combinators preserve the §2 requirements: if the operands are
 //! non-negative and non-increasing, so is the result. Classification is
 //! conservative — combinators report [`DecayClass::General`] except where
-//! a stronger class is provably preserved.
+//! a stronger class is provably preserved. The envelope caps
+//! ([`DecayFunction::weight_cap`], [`DecayFunction::displacement_cap`])
+//! are combined from the operands' caps by the combinator's own rule, so
+//! a polyexponential operand, which peaks past age 1, is never priced at
+//! `g(1)`.
 
 use crate::func::{DecayClass, DecayFunction, Time};
 
@@ -41,6 +45,14 @@ impl<G: DecayFunction> DecayFunction for Scaled<G> {
 
     fn horizon(&self) -> Option<Time> {
         self.inner.horizon()
+    }
+
+    fn weight_cap(&self) -> f64 {
+        self.factor * self.inner.weight_cap()
+    }
+
+    fn displacement_cap(&self, d: Time) -> f64 {
+        self.factor * self.inner.displacement_cap(d)
     }
 
     fn classify(&self) -> DecayClass {
@@ -93,6 +105,14 @@ impl<G1: DecayFunction, G2: DecayFunction> DecayFunction for SumOf<G1, G2> {
             (Some(x), Some(y)) => Some(x.max(y)),
             _ => None,
         }
+    }
+
+    fn weight_cap(&self) -> f64 {
+        self.a.weight_cap() + self.b.weight_cap()
+    }
+
+    fn displacement_cap(&self, d: Time) -> f64 {
+        self.a.displacement_cap(d) + self.b.displacement_cap(d)
     }
 
     fn describe(&self) -> String {
@@ -149,6 +169,22 @@ impl<G1: DecayFunction, G2: DecayFunction> DecayFunction for ProductOf<G1, G2> {
         }
     }
 
+    fn weight_cap(&self) -> f64 {
+        product(self.a.weight_cap(), self.b.weight_cap())
+    }
+
+    /// Ratio-monotone products gap most at age 1 (the trait default);
+    /// otherwise `gh` gaps by at most `sup g · gap(h) + sup h · gap(g)`
+    /// (the product rule), and never by more than its own cap.
+    fn displacement_cap(&self, d: Time) -> f64 {
+        if self.classify() == DecayClass::RatioMonotone {
+            return (self.weight(1) - self.weight(1 + d)).max(0.0);
+        }
+        let (wa, wb) = (self.a.weight_cap(), self.b.weight_cap());
+        let gap = product(wa, self.b.displacement_cap(d)) + product(wb, self.a.displacement_cap(d));
+        gap.min(self.weight_cap())
+    }
+
     fn describe(&self) -> String {
         format!("({} * {})", self.a.describe(), self.b.describe())
     }
@@ -184,8 +220,29 @@ impl<G1: DecayFunction, G2: DecayFunction> DecayFunction for MaxOf<G1, G2> {
         }
     }
 
+    fn weight_cap(&self) -> f64 {
+        self.a.weight_cap().max(self.b.weight_cap())
+    }
+
+    /// Where `a` is the larger operand, `max(a, b)` drops by at most
+    /// `a`'s own gap (and symmetrically), so the larger gap caps it.
+    fn displacement_cap(&self, d: Time) -> f64 {
+        self.a.displacement_cap(d).max(self.b.displacement_cap(d))
+    }
+
     fn describe(&self) -> String {
         format!("max({}, {})", self.a.describe(), self.b.describe())
+    }
+}
+
+/// A cap product where a zero factor wins over an infinite one: a
+/// constant operand has no gap (`displacement_cap` 0), and that stays
+/// zero against a polyexponential operand's unbounded `weight_cap`.
+fn product(x: f64, y: f64) -> f64 {
+    if x == 0.0 || y == 0.0 {
+        0.0
+    } else {
+        x * y
     }
 }
 
@@ -229,6 +286,45 @@ mod tests {
         let g = ProductOf::new(Polynomial::new(1.0), Exponential::new(0.01));
         assert_eq!(g.classify(), DecayClass::RatioMonotone);
         assert!(properties::check_ratio_monotone(&g, 2_000));
+    }
+
+    #[test]
+    fn caps_cover_a_polyexponential_operand() {
+        use crate::PolyExponential;
+        let p = || PolyExponential::new(2, 0.03);
+        let check = |name: &str, g: &dyn DecayFunction| {
+            let ages = 1..=10_000u64;
+            let peak = ages.clone().map(|a| g.weight(a)).fold(0.0, f64::max);
+            assert!(peak > g.weight(1), "{name}: the peak must sit past age 1");
+            assert!(g.weight_cap() >= peak, "{name}: weight_cap below max g");
+            for d in [1u64, 10, 67, 1_000] {
+                let gap = ages
+                    .clone()
+                    .map(|a| g.weight(a) - g.weight(a + d))
+                    .fold(0.0, f64::max);
+                assert!(
+                    g.displacement_cap(d) >= gap,
+                    "{name}: displacement_cap({d}) below max gap {gap}"
+                );
+            }
+        };
+        check("scaled", &Scaled::new(p(), 3.0));
+        check("sum", &SumOf::new(p(), Exponential::new(0.01)));
+        check("product", &ProductOf::new(p(), SlidingWindow::new(5_000)));
+        check("max", &MaxOf::new(Polynomial::new(1.0), p()));
+    }
+
+    #[test]
+    fn caps_of_monotone_operands_stay_at_age_one() {
+        let g = Scaled::new(Polynomial::new(2.0), 10.0);
+        assert_eq!(g.weight_cap(), g.weight(1));
+        let g = SumOf::new(SlidingWindow::new(10), Polynomial::new(1.0));
+        assert_eq!(g.weight_cap(), g.weight(1));
+        let g = ProductOf::new(Polynomial::new(1.0), Exponential::new(0.01));
+        assert_eq!(g.weight_cap(), g.weight(1));
+        assert_eq!(g.displacement_cap(7), g.weight(1) - g.weight(8));
+        let g = MaxOf::new(SlidingWindow::new(5), Polynomial::new(1.0));
+        assert_eq!(g.weight_cap(), g.weight(1));
     }
 
     #[test]

@@ -39,12 +39,17 @@
 //!
 //! Each worker applies every chunk under `catch_unwind`, **inside** its
 //! backend mutex guard so a panic never poisons the lock. In
-//! [supervised](ShardedAggregate::supervised) mode the worker
-//! checkpoints its backend (via the [`Checkpoint`] trait's versioned,
-//! checksummed encoding) on a configurable cadence; on a panic it
-//! restores the last good checkpoint in place, replays the failed
-//! chunk, and carries on — a deterministic "poison pill" chunk that
-//! panics again on replay is skipped with its mass accounted as lost.
+//! [supervised](ShardedAggregate::supervised) mode the worker keeps a
+//! restart point on a configurable cadence: a typed copy of its
+//! backend, refreshed with `clone_from`, not serialised bytes. Bytes
+//! exist only where they are consumed: a restart and the degraded fold
+//! encode the copy with the [`Checkpoint`] trait's versioned,
+//! checksummed encoding and restore from those bytes (so the checksum
+//! guards every restore), and [durable](ShardedAggregate::durable)
+//! engines encode once per cadence for disk. On a panic the worker
+//! restores the restart point in place, replays the failed chunk, and
+//! carries on — a deterministic "poison pill" chunk that panics again
+//! on replay is skipped with its mass accounted as lost.
 //! When recovery is impossible (no checkpoint capability, restarts
 //! exhausted, or the checkpoint itself fails restore — e.g. corruption
 //! detected by its checksum) the shard is **quarantined**: its worker
@@ -91,6 +96,13 @@ use td_persist::{DurableStore, ShardCheckpoint, Storage, StoreOptions, WalEntry}
 /// `observe_batch`). Large enough to amortize the per-chunk atomics and
 /// the backend's per-batch setup; small enough to keep barriers snappy.
 const DRAIN_BATCH: usize = 1024;
+
+/// How many pushed messages wake an idle worker before its park
+/// timeout. A quarter chunk: a batched push (hundreds of items per
+/// shard) wakes the worker every time, while single-item ingest pays
+/// one wake-up per quarter chunk — waking per message made single-item
+/// `observe` about 3× slower.
+const WAKE_AFTER: usize = DRAIN_BATCH / 4;
 
 /// Default ring capacity per shard (messages, rounded up to a power of
 /// two by the ring). ~96 KiB of in-flight items per shard.
@@ -288,12 +300,16 @@ pub struct SupervisorOptions {
     /// Checkpoint after every N successfully applied chunks (min 1).
     /// 1 (the default) makes restarts lossless for non-deterministic
     /// panics: the checkpoint always covers everything before the
-    /// failed chunk, and the failed chunk itself is replayed. Raising
-    /// it trades recovery exposure (up to N−1 chunks of applied mass
-    /// at risk, visible as [`ShardStats::checkpoint_age`]) for cheaper
-    /// steady-state ingest — the usual setting for [durable]
-    /// (ShardedAggregate::durable) engines, where every chunk is in
-    /// the WAL anyway and the checkpoint only bounds replay length.
+    /// failed chunk, and the failed chunk itself is replayed. The
+    /// in-memory checkpoint is a typed copy of the backend (a
+    /// `clone_from`, no encoding), so outside durable engines raising
+    /// N saves little and only adds recovery exposure (up to N−1
+    /// chunks of applied mass at risk, visible as
+    /// [`ShardStats::checkpoint_age`]).
+    /// [Durable](ShardedAggregate::durable) engines also encode and
+    /// write each checkpoint to disk; there a large N is the usual
+    /// setting, since every chunk is in the WAL anyway and the
+    /// checkpoint only bounds replay length.
     pub checkpoint_every_chunks: u64,
     /// How long a query barrier waits for a shard before reporting it
     /// [`QueryError::Wedged`].
@@ -425,9 +441,22 @@ fn restore_ckpt<B: Checkpoint>(b: &mut B, bytes: &[u8]) -> Result<(), RestoreErr
     b.restore_checkpoint(bytes)
 }
 
-/// A saved good state of one shard's backend.
-struct CkptRecord {
-    bytes: Vec<u8>,
+impl<B> CkptFns<B> {
+    /// Restores `target` from a typed `snapshot` through the checkpoint
+    /// encoding, so the checksum guards every restore. Returns the
+    /// encoded bytes for callers that may need to restore again.
+    fn restore_from(&self, target: &mut B, snapshot: &B) -> Result<Vec<u8>, RestoreError> {
+        let bytes = (self.save)(snapshot);
+        (self.restore)(target, &bytes)?;
+        Ok(bytes)
+    }
+}
+
+/// A saved good state of one shard's backend: a typed copy, refreshed
+/// with `clone_from` on the checkpoint cadence. Bytes are only made
+/// from it where bytes are consumed — a restart, a degraded fold.
+struct CkptRecord<B> {
+    snapshot: B,
     /// Cumulative observation mass applied when the checkpoint was
     /// taken. `submitted_mass − mass` is the shard's mass at risk if it
     /// dies and must be served from this checkpoint.
@@ -461,7 +490,7 @@ struct ShardState<B> {
     /// worker-local counter, published for `shard_stats`).
     ckpt_age: AtomicU64,
     /// Last good checkpoint (None in unsupervised engines).
-    ckpt: Mutex<Option<CkptRecord>>,
+    ckpt: Mutex<Option<CkptRecord<B>>>,
     /// Most recent panic payload / failure description.
     last_panic: Mutex<Option<String>>,
 }
@@ -491,6 +520,8 @@ struct Shard<B> {
     dropped_msgs: AtomicU64,
     /// Observation mass of the shed messages.
     dropped_mass: AtomicU64,
+    /// Messages pushed since the worker was last woken.
+    unwoken: usize,
     worker: Option<JoinHandle<()>>,
     /// The worker's thread handle, for unparking it out of idle sleep.
     thread: Thread,
@@ -665,7 +696,7 @@ fn apply_chunk<B: StreamAggregate>(backend: &mut B, buf: &[Msg], items: &mut Vec
 /// `applied_mass` is the worker's running total of applied observation
 /// mass; on success it is rewound to the checkpoint and replayed
 /// forward, with any unreplayable difference added to `lost_mass`.
-fn try_recover<B: StreamAggregate>(
+fn try_recover<B: StreamAggregate + Clone>(
     ctx: &WorkerCtx<B>,
     dur: Option<&DurableWorker>,
     backend: &mut B,
@@ -686,31 +717,33 @@ fn try_recover<B: StreamAggregate>(
     let Some(rec) = ckpt_guard.as_ref() else {
         return false;
     };
-    if let Err(e) = (fns.restore)(backend, &rec.bytes) {
-        // The in-memory checkpoint is gone (its checksum caught the
-        // corruption). A durable engine has a second copy: the on-disk
-        // checkpoint written at the same cadence point — prefer it
-        // over quarantining the shard.
-        let disk_restored = dur.is_some_and(|d| {
-            let from_disk = d
-                .store
-                .lock()
-                .expect("durable store mutex")
-                .read_shard_checkpoint(d.shard);
-            match from_disk {
-                Ok(Some(ck)) => (fns.restore)(backend, &ck.envelope).is_ok(),
-                _ => false,
-            }
-        });
-        if !disk_restored {
-            ctx.state
-                .note_failure(format!("checkpoint restore failed: {e}"));
-            return false;
+    let bytes = match fns.restore_from(backend, &rec.snapshot) {
+        Ok(bytes) => bytes,
+        Err(e) => {
+            // The in-memory checkpoint is gone (its checksum caught the
+            // corruption). A durable engine has a second copy: the
+            // on-disk checkpoint written at the same cadence point —
+            // prefer it over quarantining the shard.
+            let from_disk = dur.and_then(|d| {
+                let ck = d
+                    .store
+                    .lock()
+                    .expect("durable store mutex")
+                    .read_shard_checkpoint(d.shard);
+                let bytes = ck.ok().flatten()?.envelope;
+                (fns.restore)(backend, &bytes).ok().map(|()| bytes)
+            });
+            let Some(bytes) = from_disk else {
+                ctx.state
+                    .note_failure(format!("checkpoint restore failed: {e}"));
+                return false;
+            };
+            ctx.state.note_failure(format!(
+                "in-memory checkpoint corrupt ({e}); restored from disk"
+            ));
+            bytes
         }
-        ctx.state.note_failure(format!(
-            "in-memory checkpoint corrupt ({e}); restored from disk"
-        ));
-    }
+    };
     // Mass applied after the checkpoint was taken is gone for good —
     // the ring no longer holds those messages. (Zero at the default
     // checkpoint-every-chunk cadence.)
@@ -728,7 +761,7 @@ fn try_recover<B: StreamAggregate>(
             // too. Skip it (with its mass accounted) rather than
             // crash-looping.
             ctx.state.panics.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = (fns.restore)(backend, &rec.bytes) {
+            if let Err(e) = (fns.restore)(backend, &bytes) {
                 ctx.state
                     .note_failure(format!("checkpoint restore failed: {e}"));
                 return false;
@@ -748,7 +781,7 @@ fn try_recover<B: StreamAggregate>(
 /// through `applied`. On shutdown it drains the ring to empty before
 /// exiting, so no submitted item is ever dropped; on quarantine it
 /// exits immediately and the coordinator stops routing to it.
-fn worker_loop<B: StreamAggregate>(mut ctx: WorkerCtx<B>, mut rx: spsc::Consumer<Msg>) {
+fn worker_loop<B: StreamAggregate + Clone>(mut ctx: WorkerCtx<B>, mut rx: spsc::Consumer<Msg>) {
     let mut buf: Vec<Msg> = Vec::with_capacity(DRAIN_BATCH);
     let mut items: Vec<(Time, u64)> = Vec::with_capacity(DRAIN_BATCH);
     // Cumulative observation mass applied to the backend. Worker-local:
@@ -826,7 +859,6 @@ fn worker_loop<B: StreamAggregate>(mut ctx: WorkerCtx<B>, mut rx: spsc::Consumer
                             .ckpt_age
                             .store(chunks_since_ckpt, Ordering::Relaxed);
                         if chunks_since_ckpt >= ctx.checkpoint_every {
-                            let bytes = (fns.save)(&backend);
                             // Disk first: the in-memory record is only
                             // advanced when its on-disk twin landed, so
                             // the two always describe the same state
@@ -834,10 +866,11 @@ fn worker_loop<B: StreamAggregate>(mut ctx: WorkerCtx<B>, mut rx: spsc::Consumer
                             // from one to the other with shared mass
                             // bookkeeping). A failed disk write keeps
                             // the older consistent pair and retries
-                            // next chunk.
+                            // next chunk. Only the disk copy is
+                            // encoded; the in-memory one is typed.
                             let disk_ok = match dur.as_ref() {
                                 None => true,
-                                Some(d) => match d.save_checkpoint(bytes.clone()) {
+                                Some(d) => match d.save_checkpoint((fns.save)(&backend)) {
                                     Ok(()) => true,
                                     Err(e) => {
                                         ctx.state.note_failure(format!(
@@ -848,11 +881,10 @@ fn worker_loop<B: StreamAggregate>(mut ctx: WorkerCtx<B>, mut rx: spsc::Consumer
                                 },
                             };
                             if disk_ok {
-                                *ctx.state.ckpt.lock().expect("checkpoint mutex") =
-                                    Some(CkptRecord {
-                                        bytes,
-                                        mass: applied_mass,
-                                    });
+                                let mut slot = ctx.state.ckpt.lock().expect("checkpoint mutex");
+                                let rec = slot.as_mut().expect("supervised shards are seeded");
+                                rec.snapshot.clone_from(&backend);
+                                rec.mass = applied_mass;
                                 chunks_since_ckpt = 0;
                                 ctx.state.ckpt_age.store(0, Ordering::Relaxed);
                             }
@@ -946,6 +978,14 @@ impl<B> Shard<B> {
             self.submitted.fetch_add(sent as u64, Ordering::Release);
             self.submitted_mass
                 .fetch_add(slice_mass(&msgs[..sent]), Ordering::Release);
+            // Wake an idle worker once `WAKE_AFTER` messages wait for
+            // it, not after its park timeout: the ring would fill while
+            // it sleeps.
+            self.unwoken += sent;
+            if self.unwoken >= WAKE_AFTER {
+                self.unwoken = 0;
+                self.thread.unpark();
+            }
         }
         let rest = &msgs[sent..];
         if !rest.is_empty() {
@@ -1151,8 +1191,8 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
             // Seed the checkpoint with the pristine backend, so a shard
             // that dies before its first save still restores to a valid
             // (empty) state with its whole submitted mass at risk.
-            let initial = ckpt_ops.map(|fns| CkptRecord {
-                bytes: (fns.save)(&backend),
+            let initial = ckpt_ops.map(|_| CkptRecord {
+                snapshot: backend.clone(),
                 mass: 0,
             });
             let state = Arc::new(ShardState {
@@ -1188,6 +1228,7 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
                 blocked_pushes: AtomicU64::new(0),
                 dropped_msgs: AtomicU64::new(0),
                 dropped_mass: AtomicU64::new(0),
+                unwoken: 0,
                 worker: Some(worker),
                 thread,
             });
@@ -1331,6 +1372,20 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         self.last_t.store(t, Ordering::Release);
     }
 
+    /// The round-robin target of the next item, advancing the cursor:
+    /// the cursor's shard, or [`route`](Self::route)'s fallback only
+    /// when that shard is quarantined. The cursor wraps by compare, so
+    /// the per-item path has no division.
+    fn next_round_robin(&mut self) -> usize {
+        let i = self.rr_next;
+        self.rr_next = if i + 1 == self.shards.len() { 0 } else { i + 1 };
+        if self.shards[i].health() == HEALTH_QUARANTINED {
+            self.route(i)
+        } else {
+            i
+        }
+    }
+
     /// The next ingest target: `preferred` if live, else the next live
     /// shard after it (wrapping). Returns `preferred` itself when every
     /// shard is quarantined — `push_all` then accounts the drop.
@@ -1427,7 +1482,7 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
                     let rec_guard = sh.state.ckpt.lock().expect("checkpoint mutex");
                     if let Some(rec) = rec_guard.as_ref() {
                         let mut b = self.template.clone();
-                        if (fns.restore)(&mut b, &rec.bytes).is_ok() {
+                        if fns.restore_from(&mut b, &rec.snapshot).is_ok() {
                             covered = rec.mass;
                             parts.push(b);
                         }
@@ -1617,8 +1672,7 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
 impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAggregate<B> {
     fn observe(&mut self, t: Time, f: u64) {
         self.note_time(t);
-        let i = self.route(self.rr_next);
-        self.rr_next = (self.rr_next + 1) % self.shards.len();
+        let i = self.next_round_robin();
         let policy = self.backpressure;
         self.shards[i].push_all(&[Msg::Observe(t, f)], policy);
     }
@@ -1641,11 +1695,9 @@ impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAgg
         for buf in &mut self.scratch {
             buf.clear();
         }
-        let n = self.shards.len();
         for &(t, f) in items {
-            let i = self.route(self.rr_next);
+            let i = self.next_round_robin();
             self.scratch[i].push(Msg::Observe(t, f));
-            self.rr_next = (self.rr_next + 1) % n;
         }
         let policy = self.backpressure;
         for (sh, buf) in self.shards.iter_mut().zip(&self.scratch) {
@@ -2471,5 +2523,224 @@ mod tests {
             assert!(Instant::now() < deadline, "gauges never drained: {stats:?}");
             thread::yield_now();
         }
+    }
+
+    /// Counts `save_checkpoint` calls across all clones, optionally
+    /// flipping one bit in every saved envelope.
+    #[derive(Clone, Debug)]
+    struct CountSaves<B> {
+        inner: B,
+        saves: Arc<AtomicU64>,
+        flip: bool,
+    }
+
+    impl<B: StorageAccounting> StorageAccounting for CountSaves<B> {
+        fn storage_bits(&self) -> u64 {
+            self.inner.storage_bits()
+        }
+    }
+
+    impl<B: StreamAggregate> StreamAggregate for CountSaves<B> {
+        fn observe(&mut self, t: Time, f: u64) {
+            self.inner.observe(t, f)
+        }
+        fn observe_batch(&mut self, items: &[(Time, u64)]) {
+            self.inner.observe_batch(items)
+        }
+        fn advance(&mut self, t: Time) {
+            self.inner.advance(t)
+        }
+        fn query(&self, t: Time) -> f64 {
+            self.inner.query(t)
+        }
+        fn merge_from(&mut self, other: &Self) {
+            self.inner.merge_from(&other.inner)
+        }
+        fn error_bound(&self) -> ErrorBound {
+            self.inner.error_bound()
+        }
+        fn unit_weight_cap(&self) -> f64 {
+            self.inner.unit_weight_cap()
+        }
+    }
+
+    impl<B: Checkpoint> Checkpoint for CountSaves<B> {
+        fn save_checkpoint(&self) -> Vec<u8> {
+            self.saves.fetch_add(1, Ordering::SeqCst);
+            let mut bytes = self.inner.save_checkpoint();
+            if self.flip {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x10;
+            }
+            bytes
+        }
+        fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
+            self.inner.restore_checkpoint(bytes)
+        }
+    }
+
+    /// A `make` closure over counted (and, with `flip`, corrupting)
+    /// exact counters that panic on the `fire_at`-th batch (0: never).
+    fn counted(
+        saves: &Arc<AtomicU64>,
+        fire_at: u64,
+        flip: bool,
+    ) -> impl Fn() -> PanicOnNth<CountSaves<ExactDecayedSum<Constant>>> {
+        let saves = Arc::clone(saves);
+        let calls = Arc::new(AtomicU64::new(0));
+        move || {
+            let inner = CountSaves {
+                inner: ExactDecayedSum::new(Constant),
+                saves: Arc::clone(&saves),
+                flip,
+            };
+            PanicOnNth::wrap(inner, Arc::clone(&calls), fire_at)
+        }
+    }
+
+    #[test]
+    fn restart_point_is_encoded_only_where_bytes_are_consumed() {
+        let items = stream(8_000);
+        let truth: u64 = items.iter().map(|&(_, f)| f).sum();
+        let probe = items.last().unwrap().0 + 1;
+
+        // Healthy supervised ingest and queries encode nothing: the
+        // restart point is a typed copy.
+        let saves = Arc::new(AtomicU64::new(0));
+        let mut s = ShardedAggregate::supervised(
+            2,
+            SupervisorOptions::default(),
+            counted(&saves, 0, false),
+        );
+        for chunk in items.chunks(64) {
+            s.observe_batch(chunk);
+        }
+        assert_eq!(s.query(probe), truth as f64);
+        assert_eq!(
+            saves.load(Ordering::SeqCst),
+            0,
+            "healthy ingest encoded a checkpoint"
+        );
+
+        // A restart encodes the snapshot once, restores through the
+        // checksum, and still heals losslessly.
+        let saves = Arc::new(AtomicU64::new(0));
+        let mut s = ShardedAggregate::supervised(
+            2,
+            SupervisorOptions::default(),
+            counted(&saves, 5, false),
+        );
+        for chunk in items.chunks(64) {
+            s.observe_batch(chunk);
+        }
+        let ans = s.try_query(probe).expect("no wedge");
+        assert_eq!(ans.value, truth as f64, "restart lost mass");
+        assert!(ans.degraded.is_empty());
+        let stats = s.shard_stats();
+        assert_eq!(stats.iter().map(|st| st.restarts).sum::<u64>(), 1);
+        assert!(stats
+            .iter()
+            .all(|st| st.lost_mass == 0 && st.health == ShardHealth::Live));
+        assert_eq!(saves.load(Ordering::SeqCst), 1, "one restart, one encoding");
+
+        // A bit flipped on the way to bytes is caught by the checksum:
+        // the shard quarantines instead of restoring garbage.
+        let saves = Arc::new(AtomicU64::new(0));
+        let mut s =
+            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 5, true));
+        for chunk in items.chunks(64) {
+            s.observe_batch(chunk);
+        }
+        let ans = s.try_query(probe).expect("no wedge");
+        assert_eq!(ans.degraded.len(), 1, "the corrupt restart must quarantine");
+        assert!(ans.bound.admits(ans.value, truth as f64, 1e-9));
+        let victim = &s.shard_stats()[ans.degraded[0]];
+        assert_eq!(victim.health, ShardHealth::Quarantined);
+        assert!(
+            victim
+                .last_panic
+                .as_deref()
+                .is_some_and(|p| p.contains("checksum")),
+            "corruption must surface as a checksum failure: {:?}",
+            victim.last_panic
+        );
+    }
+
+    #[test]
+    fn durable_engine_encodes_once_per_checkpoint_cadence() {
+        let saves = Arc::new(AtomicU64::new(0));
+        let opts = SupervisorOptions {
+            checkpoint_every_chunks: 4,
+            ..SupervisorOptions::default()
+        };
+        let durability = DurabilityConfig::new(Box::new(MemStorage::new()));
+        let (mut eng, _) =
+            ShardedAggregate::durable(1, opts, durability, counted(&saves, 0, false))
+                .expect("fresh store");
+        // A barrier after each observe makes every item its own chunk.
+        for t in 1..=12u64 {
+            eng.observe(t, 1);
+            assert_eq!(eng.query(t + 1), t as f64);
+        }
+        assert_eq!(saves.load(Ordering::SeqCst), 3, "12 chunks at cadence 4");
+    }
+
+    #[test]
+    fn round_robin_assignment_survives_odd_batches_and_quarantine() {
+        // Reference model: the cursor advances once per item; a
+        // quarantined preferred shard falls through to the next live one.
+        fn expect(lens: &[usize], dead: &[usize], cursor: &mut usize, counts: &mut [u64]) {
+            let n = counts.len();
+            for _ in 0..lens.iter().sum::<usize>() {
+                let mut i = *cursor;
+                while dead.contains(&i) {
+                    i = (i + 1) % n;
+                }
+                counts[i] += 1;
+                *cursor = (*cursor + 1) % n;
+            }
+        }
+        let lens = [1usize, 2, 4, 5, 7, 1, 10, 1_000, 1_024, 3_001];
+        let push = |eng: &mut ShardedAggregate<_>, t: &mut Time| {
+            for (k, &len) in lens.iter().enumerate() {
+                let batch: Vec<(Time, u64)> = (0..len).map(|_| (*t, 1)).collect();
+                if len == 1 && k % 2 == 0 {
+                    eng.observe(*t, 1);
+                } else {
+                    eng.observe_batch(&batch);
+                }
+                *t += 1;
+            }
+        };
+        let submitted = |eng: &ShardedAggregate<_>| -> Vec<u64> {
+            eng.shard_stats().iter().map(|st| st.submitted).collect()
+        };
+
+        let engine = |fire_at| {
+            let calls = Arc::new(AtomicU64::new(0));
+            ShardedAggregate::new(3, move || {
+                PanicOnNth::wrap(ExactDecayedSum::new(Constant), Arc::clone(&calls), fire_at)
+            })
+        };
+
+        // All shards live.
+        let mut eng = engine(0);
+        let (mut cursor, mut counts, mut t) = (0, vec![0u64; 3], 1);
+        push(&mut eng, &mut t);
+        expect(&lens, &[], &mut cursor, &mut counts);
+        assert_eq!(submitted(&eng), counts);
+
+        // Shard 1 quarantined by the second batch (one item per shard,
+        // serialised by barriers), then the same pushes again.
+        let mut eng = engine(2);
+        eng.observe(1, 1);
+        let _ = eng.query(2);
+        eng.observe(1, 1);
+        assert_eq!(eng.try_query(2).expect("no wedge").degraded, vec![1]);
+        let (mut cursor, mut counts, mut t) = (2, vec![1u64, 1, 0], 1);
+        push(&mut eng, &mut t);
+        expect(&lens, &[1], &mut cursor, &mut counts);
+        assert_eq!(submitted(&eng), counts);
+        assert!(eng.shard_stats().iter().all(|st| st.dropped_msgs == 0));
     }
 }
