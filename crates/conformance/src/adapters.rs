@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use td_decay::checkpoint::{Checkpoint, RestoreError};
 use td_decay::{DecayFunction, ErrorBound, StorageAccounting, StreamAggregate, Time};
+use td_persist::wal::{parse_segment_name, RECORD_HEADER};
 use td_persist::{DurableAggregate, MemStorage};
 use td_registry::KeyedRegistry;
 use td_reorder::{LatenessPolicy, Reorderer};
@@ -683,6 +684,27 @@ pub enum Damages {
     Only(Option<Damage>),
 }
 
+/// Where the frame headers of one undamaged durable file start, each
+/// [`RECORD_HEADER`] bytes long: every WAL record's, found by walking
+/// the records' length fields, or, for a checkpoint or manifest, its
+/// envelope header and the fields right behind it.
+fn header_starts(file: &str, bytes: &[u8]) -> Vec<usize> {
+    if parse_segment_name(file).is_none() {
+        return vec![0];
+    }
+    let mut starts = Vec::new();
+    let mut off = 0usize;
+    while off + RECORD_HEADER <= bytes.len() {
+        starts.push(off);
+        let len = u64::from_le_bytes(bytes[off + 16..off + 24].try_into().expect("len field"));
+        off = usize::try_from(len)
+            .ok()
+            .and_then(|len| (off + RECORD_HEADER).checked_add(len))
+            .unwrap_or(usize::MAX);
+    }
+    starts
+}
+
 /// Kill-at-any-byte: runs `events` into a fresh store (the never-crashed
 /// run is certified too), crashes it — only fsynced bytes survive —
 /// then damages the snapshot at each selected point. Every recovery
@@ -750,17 +772,34 @@ pub fn crash_sweep(
         Damages::Stride(stride) => {
             for (file, bytes) in snapshot.durable_files() {
                 stats.durable_bytes += bytes.len();
+                let headers = header_starts(&file, &bytes);
                 for offset in (0..bytes.len()).step_by((*stride).max(1)) {
                     points.push(Damage {
                         file: file.clone(),
                         kind: DamageKind::Truncate(offset),
                     });
-                    // The flipped bit rotates with the offset so a full
-                    // sweep hits low and high bits of every field.
-                    points.push(Damage {
-                        file: file.clone(),
-                        kind: DamageKind::BitFlip(offset as u64 * 8 + (offset % 8) as u64),
-                    });
+                    // A header byte gets every bit flipped: its length
+                    // field decides how the reader classifies damage,
+                    // so each bit of it, magic and sequence matters.
+                    // Elsewhere the flipped bit rotates with the offset
+                    // so a full sweep hits low and high bits of every
+                    // field.
+                    let in_header = headers
+                        .iter()
+                        .any(|&h| (h..h + RECORD_HEADER).contains(&offset));
+                    let bits = if in_header {
+                        stats.header_bytes += 1;
+                        0..8
+                    } else {
+                        let bit = (offset % 8) as u64;
+                        bit..bit + 1
+                    };
+                    for bit in bits {
+                        points.push(Damage {
+                            file: file.clone(),
+                            kind: DamageKind::BitFlip(offset as u64 * 8 + bit),
+                        });
+                    }
                 }
             }
         }

@@ -199,6 +199,9 @@ pub struct Stats {
     pub refused: usize,
     /// Durable bytes the sweep covered.
     pub durable_bytes: usize,
+    /// Frame-header bytes among them, swept at every bit rather than
+    /// one.
+    pub header_bytes: usize,
 }
 
 /// How a store was damaged after the crash.

@@ -371,7 +371,15 @@ fn recovery_every_byte_exact_exp() {
         ..Sweep::new(&[0xD1E], 40)
     };
     for (run, stats) in certify(&sweep, &rows) {
-        assert_eq!(stats.sweeps, 2 * stats.durable_bytes, "{}", run.family);
+        // One truncation and one bit flip per byte, plus the seven
+        // other bits of every frame-header byte.
+        assert!(stats.header_bytes >= 32, "{}: no header swept", run.family);
+        assert_eq!(
+            stats.sweeps,
+            2 * stats.durable_bytes + 7 * stats.header_bytes,
+            "{}",
+            run.family
+        );
         assert!(stats.recovered > 0, "{}: nothing recovered", run.family);
         assert!(stats.refused > 0, "{}: nothing refused", run.family);
     }
@@ -402,7 +410,11 @@ fn recovery_exhaustive() {
         ..Sweep::new(&[0x1, 0x5EED, 0xDEAD_BEEF], 120)
     };
     for (run, stats) in certify(&sweep, &rows) {
-        assert_eq!(stats.sweeps, 2 * stats.durable_bytes, "{run:?}");
+        assert_eq!(
+            stats.sweeps,
+            2 * stats.durable_bytes + 7 * stats.header_bytes,
+            "{run:?}"
+        );
     }
 }
 

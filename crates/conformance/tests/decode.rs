@@ -307,19 +307,23 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// the checksum covers, then the 8-byte checksum, then the payload.
 #[derive(Clone, Copy)]
 struct Frame {
-    /// Header bytes before the checksum (TDCP 14, TDWL 24).
+    /// Header bytes before the checksum (TDCP 14, TDW2 24).
     sealed: usize,
     /// Offset of the little-endian payload-length field.
     len_at: usize,
+    /// The checksum of `(header, payload)`.
+    sum: fn(&[u8], &[u8]) -> u64,
 }
 
 const TDCP: Frame = Frame {
     sealed: 14,
     len_at: 6,
+    sum: |head, payload| fnv1a64(fnv1a64(FNV_OFFSET, head), payload),
 };
-const TDWL: Frame = Frame {
+const TDW2: Frame = Frame {
     sealed: 24,
     len_at: 16,
+    sum: td_persist::wal::record_checksum,
 };
 
 impl Frame {
@@ -330,7 +334,7 @@ impl Frame {
     /// Recomputes the checksum over the (mutated) header and payload.
     fn reseal(self, bytes: &mut [u8]) {
         let (head, rest) = bytes.split_at_mut(self.sealed);
-        let sum = fnv1a64(fnv1a64(FNV_OFFSET, head), &rest[8..]);
+        let sum = (self.sum)(head, &rest[8..]);
         rest[..8].copy_from_slice(&sum.to_le_bytes());
     }
 
@@ -464,7 +468,7 @@ fn arbitrary_byte_decode_sweep_never_panics() {
         // says where it ends; the records after it stay intact.
         let (frame, end) = if name.starts_with("wal-") {
             let len = u64::from_le_bytes(bytes[16..24].try_into().expect("len field"));
-            (TDWL, TDWL.payload() + len as usize)
+            (TDW2, TDW2.payload() + len as usize)
         } else {
             (TDCP, bytes.len())
         };
@@ -482,5 +486,120 @@ fn arbitrary_byte_decode_sweep_never_panics() {
             let _ = td_persist::recover(&damaged, 1);
             let _ = DurableAggregate::open(Box::new(damaged), opts, make);
         });
+    }
+}
+
+/// A sealed WAL v2 frame (seq 1, shard 0) around an arbitrary payload,
+/// its length field claiming `claimed` bytes.
+fn forged_record(payload: &[u8], claimed: u64) -> Vec<u8> {
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&td_persist::wal::WAL_MAGIC);
+    frame.extend_from_slice(&1u64.to_le_bytes());
+    frame.extend_from_slice(&0u32.to_le_bytes());
+    frame.extend_from_slice(&claimed.to_le_bytes());
+    frame.extend_from_slice(&[0; 8]);
+    frame.extend_from_slice(payload);
+    TDW2.reseal(&mut frame);
+    frame
+}
+
+/// Checksum-valid v2 records whose entry walk must fail: varints cut
+/// short, run to 11 bytes or overflow in their 10th, unknown kinds, and
+/// length fields far past the segment. Each is a typed outcome — a
+/// crash tail at the end of the segment, `TornRecord` with an intact
+/// record behind it — never a panic; and a record that does decode
+/// sizes its entry list by the payload, at most one entry per two
+/// bytes.
+#[test]
+fn forged_v2_records_fail_typed_without_overallocating() {
+    use td_persist::wal::{read_segment, TailStop, WalEntry, WalRecord};
+
+    let ones = [0x80u8; 9];
+    let mut bad: Vec<(&str, Vec<u8>)> = vec![
+        ("truncated Δt varint", vec![0, 0x80]),
+        ("truncated f varint", vec![0, 2, 0xFF, 0xFF]),
+        ("truncated key varint", vec![2, 0x81]),
+        (
+            "11-byte varint",
+            [&[0][..], &ones, &[0x80, 0x00, 0x01]].concat(),
+        ),
+        (
+            "overflowing 10th byte",
+            [&[0][..], &ones, &[0x02, 0x01]].concat(),
+        ),
+        (
+            "overflowing 10th byte of f",
+            [&[0, 0][..], &ones, &[0x7F]].concat(),
+        ),
+        ("unknown kind", vec![3, 0, 0]),
+        ("advance with a value", vec![1, 2, 1]),
+        ("kind byte alone", vec![0]),
+    ];
+    // A valid entry followed by one of each shape above.
+    let tails: Vec<(String, Vec<u8>)> = bad
+        .iter()
+        .map(|(name, p)| {
+            (
+                format!("valid entry then {name}"),
+                [&[0, 2, 5][..], p].concat(),
+            )
+        })
+        .collect();
+    for (name, p) in &tails {
+        bad.push((name.as_str(), p.clone()));
+    }
+    let intact = WalRecord {
+        seq: 2,
+        shard: 0,
+        entries: vec![WalEntry::Observe(7, 1)],
+    }
+    .encode();
+
+    for (name, payload) in &bad {
+        let frame = forged_record(payload, payload.len() as u64);
+        let alone = catch_unwind(|| read_segment(0, &frame))
+            .unwrap_or_else(|_| panic!("{name}: decoder panicked"));
+        match alone {
+            Ok(read) => {
+                assert!(read.records.is_empty(), "{name}: decoded {read:?}");
+                assert_eq!(read.tail, TailStop::CrashTail { offset: 0 }, "{name}");
+            }
+            Err(e) => panic!("{name}: alone at the end, refused as {e}"),
+        }
+        let followed = [frame.clone(), intact.clone()].concat();
+        assert_eq!(
+            read_segment(4, &followed).unwrap_err(),
+            RestoreError::TornRecord {
+                segment: 4,
+                offset: 0
+            },
+            "{name}"
+        );
+    }
+
+    // Length fields past the segment: oversized claims are a crash tail
+    // at the end and allocate nothing for the claimed extent.
+    for claimed in [4u64, 1 << 20, 1 << 40, u64::MAX - 31, u64::MAX] {
+        let frame = forged_record(&[0, 2, 5], claimed);
+        let read = read_segment(0, &frame).expect("oversized claim");
+        assert!(read.records.is_empty(), "claimed {claimed}");
+        assert_eq!(read.tail, TailStop::CrashTail { offset: 0 });
+        let behind = [intact.clone(), frame].concat();
+        let read = read_segment(0, &behind).expect("oversized claim behind a record");
+        assert_eq!(read.records.len(), 1, "claimed {claimed}");
+    }
+
+    // The densest payload that decodes: 3-byte entries.
+    for n in [1usize, 2, 3, 1000] {
+        let payload: Vec<u8> = [0u8, 2, 1].repeat(n);
+        let read = read_segment(0, &forged_record(&payload, payload.len() as u64)).unwrap();
+        let entries = &read.records[0].entries;
+        assert_eq!(entries.len(), n);
+        assert!(
+            entries.capacity() <= payload.len() / 2,
+            "{} entries reserved for a {}-byte payload",
+            entries.capacity(),
+            payload.len()
+        );
     }
 }

@@ -1,9 +1,11 @@
 //! Golden on-disk durability fixtures: a complete `td-persist` store —
 //! WAL segment(s), checkpoint envelope, manifest — captured from a
-//! known-good build is committed under `tests/golden/persist/` and
-//! every later build must either recover it **exactly** (same entry
-//! count, same query bits) or refuse it with the *typed*
-//! `RestoreError::Version(_)` — never a silent mis-recovery.
+//! known-good build is committed under `tests/golden/persist/v<N>/`,
+//! one directory per on-disk format version `N`, and every later build
+//! must either recover it **exactly** (same entry count, same query
+//! bits) or refuse it with the *typed* `RestoreError::Version(_)` —
+//! never a silent mis-recovery. Stores of older versions stay committed
+//! and checked, so a format bump proves it refuses them typed.
 //!
 //! This pins the durable format end to end: the 32-byte WAL record
 //! header and entry packing, the `ckpt-*.tdcp` envelope (including
@@ -11,8 +13,9 @@
 //! build may change in-memory layout freely, but the bytes it writes
 //! and the bytes it accepts are contract.
 //!
-//! Regenerate fixtures (only when deliberately re-baselining the
-//! on-disk format, from a build whose format is the one being pinned):
+//! Regenerate the current version's fixtures (only when deliberately
+//! re-baselining the on-disk format, from a build whose format is the
+//! one being pinned; older versions' directories are left alone):
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test -p td-conformance --test golden_persist
@@ -145,13 +148,43 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/persist"))
 }
 
+/// Every committed format version, oldest first; the current one must
+/// be among them.
+fn fixture_versions() -> Vec<u32> {
+    let mut versions: Vec<u32> = fs::read_dir(golden_dir())
+        .expect("golden persist dir")
+        .filter_map(|e| {
+            let name = e.expect("dir entry").file_name();
+            name.to_str()?.strip_prefix('v')?.parse().ok()
+        })
+        .collect();
+    versions.sort_unstable();
+    assert!(
+        versions.contains(&PERSIST_FORMAT_VERSION),
+        "no golden store for the current format version {PERSIST_FORMAT_VERSION}"
+    );
+    versions
+}
+
 #[test]
 fn golden_store_recovers_exactly_or_fails_typed() {
     let regen = std::env::var_os("GOLDEN_REGEN").is_some();
-    let scenario = fixture_scenario();
+    let versions = if regen {
+        vec![PERSIST_FORMAT_VERSION]
+    } else {
+        fixture_versions()
+    };
+    for version in versions {
+        check_version(version, regen);
+    }
+}
 
+fn check_version(version: u32, regen: bool) {
+    let scenario = fixture_scenario();
     for case in cases() {
-        let dir = golden_dir().join(case.name.replace('/', "_"));
+        let dir = golden_dir()
+            .join(format!("v{version}"))
+            .join(case.name.replace('/', "_"));
         let expect_path = dir.join("expect.manifest");
 
         if regen {
@@ -214,6 +247,11 @@ fn golden_store_recovers_exactly_or_fails_typed() {
         }
         let pinned_version = pinned_version.expect("expect.manifest format_version line");
         let want_entries = want_entries.expect("expect.manifest entries line");
+        assert_eq!(
+            pinned_version, version,
+            "{}: fixture under v{version}/ pins format_version={pinned_version}",
+            case.name
+        );
 
         match reopen(case.name, mem) {
             Ok((query, stats)) => {
@@ -256,6 +294,12 @@ fn golden_store_recovers_exactly_or_fails_typed() {
                 assert_ne!(
                     pinned_version, PERSIST_FORMAT_VERSION,
                     "{}: current-version fixture refused as Version({v})",
+                    case.name
+                );
+                assert_eq!(
+                    u32::from(v),
+                    pinned_version,
+                    "{}: a v{pinned_version} store refused as Version({v})",
                     case.name
                 );
             }

@@ -87,8 +87,14 @@ fn validate_name(name: &str) -> io::Result<()> {
 /// Real files under one directory. `sync` is `File::sync_data`;
 /// `write_atomic` writes `<name>.tmp`, fsyncs it, renames over `name`,
 /// and fsyncs the directory so the rename itself is durable.
+///
+/// The file last appended to (the WAL's current segment) stays open,
+/// so a record costs one `write`, not an `open` as well; `sync` of that
+/// name uses the same handle. `remove` or `write_atomic` of that name
+/// drops it first, so no append can land in a replaced or deleted file.
 pub struct DirStorage {
     dir: PathBuf,
+    appending: Mutex<Option<(String, std::fs::File)>>,
 }
 
 impl DirStorage {
@@ -96,7 +102,18 @@ impl DirStorage {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(DirStorage { dir })
+        Ok(DirStorage {
+            dir,
+            appending: Mutex::new(None),
+        })
+    }
+
+    /// Closes the append handle if it is open on `name`.
+    fn release_handle(&self, name: &str) {
+        let mut open = self.appending.lock().expect("append handle");
+        if open.as_ref().is_some_and(|(n, _)| n == name) {
+            *open = None;
+        }
     }
 
     /// The directory backing this storage.
@@ -126,15 +143,27 @@ impl Storage for DirStorage {
 
     fn append(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         validate_name(name)?;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(name))?;
-        f.write_all(bytes)
+        let mut open = self.appending.lock().expect("append handle");
+        match &mut *open {
+            Some((n, f)) if n == name => f.write_all(bytes),
+            _ => {
+                // Forget the previous handle before opening, so a
+                // failed open leaves none behind.
+                *open = None;
+                let mut f = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(self.dir.join(name))?;
+                f.write_all(bytes)?;
+                *open = Some((name.to_string(), f));
+                Ok(())
+            }
+        }
     }
 
     fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         validate_name(name)?;
+        self.release_handle(name);
         let tmp = self.dir.join(format!("{name}.tmp"));
         {
             let mut f = std::fs::File::create(&tmp)?;
@@ -147,6 +176,11 @@ impl Storage for DirStorage {
 
     fn sync(&self, name: &str) -> io::Result<()> {
         validate_name(name)?;
+        if let Some((n, f)) = &*self.appending.lock().expect("append handle") {
+            if n == name {
+                return f.sync_data();
+            }
+        }
         match std::fs::File::open(self.dir.join(name)) {
             Ok(f) => f.sync_data(),
             // Nothing appended yet: nothing to make durable.
@@ -157,6 +191,7 @@ impl Storage for DirStorage {
 
     fn remove(&self, name: &str) -> io::Result<()> {
         validate_name(name)?;
+        self.release_handle(name);
         match std::fs::remove_file(self.dir.join(name)) {
             Ok(()) => self.sync_dir(),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
@@ -420,6 +455,31 @@ mod tests {
         s.remove("b-wal").unwrap();
         s.remove("b-wal").unwrap(); // idempotent
         assert_eq!(s.list().unwrap(), vec!["a-manifest"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dir_storage_append_handle_follows_replace_and_remove() {
+        let dir = std::env::temp_dir().join(format!("td-persist-handle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = DirStorage::open(&dir).unwrap();
+        s.append("seg", b"ab").unwrap();
+        s.append("seg", b"cd").unwrap();
+        s.sync("seg").unwrap();
+        // A crash-tail repair replaces the open segment: later appends
+        // must extend the replacement, not the unlinked original.
+        s.write_atomic("seg", b"a").unwrap();
+        s.append("seg", b"x").unwrap();
+        assert_eq!(s.read("seg").unwrap(), b"ax");
+        // Appending elsewhere moves the handle; the first file is intact.
+        s.append("next", b"1").unwrap();
+        s.append("seg", b"y").unwrap();
+        assert_eq!(s.read("seg").unwrap(), b"axy");
+        s.remove("seg").unwrap();
+        s.append("seg", b"z").unwrap();
+        s.sync("seg").unwrap();
+        assert_eq!(s.read("seg").unwrap(), b"z");
+        assert_eq!(s.read("next").unwrap(), b"1");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
