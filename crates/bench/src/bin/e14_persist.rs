@@ -129,6 +129,7 @@ fn recovery_row(items: &[(Time, u64)]) -> RecoveryRow {
         items.len() as u64,
         "full tail replays"
     );
+    assert_eq!(stats.entries_applied, items.len() as u64);
     std::hint::black_box(agg.inner().query(items.last().unwrap().0 + 1));
     RecoveryRow {
         tail_records: items.len(),

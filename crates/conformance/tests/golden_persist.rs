@@ -119,7 +119,7 @@ fn cases() -> Vec<GoldenCase> {
 fn reopen(
     name: &str,
     storage: MemStorage,
-) -> Result<(QueryFn, td_persist::RecoveryStats), RestoreError> {
+) -> Result<(QueryFn, td_persist::RecoveryReport), RestoreError> {
     match name {
         "exact/exp" => {
             let (agg, stats) = DurableAggregate::open(Box::new(storage), opts(), || {

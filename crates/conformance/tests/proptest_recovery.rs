@@ -4,7 +4,7 @@
 //! catalogue, a seeded crash point, and a seeded checkpoint cadence:
 //!
 //! * **Double recovery is bit-identical.** Opening the same crashed
-//!   bytes twice yields the same `RecoveryStats` and byte-identical
+//!   bytes twice yields the same `RecoveryReport` and byte-identical
 //!   state (compared through `save_checkpoint`, the full state
 //!   serialization). Recovery has no hidden nondeterminism — no
 //!   iteration-order, time, or address dependence.

@@ -9,7 +9,10 @@
 //! sequential ingest only *per call pattern* (amortization decisions
 //! key off batch boundaries), reproducing the call shape is what makes
 //! two recoveries from the same bytes — and a recovered process vs a
-//! never-crashed twin — `to_bits`-identical, not merely close.
+//! never-crashed twin — `to_bits`-identical, not merely close. That
+//! call-shape rule is all this wrapper adds to recovery: the store's
+//! one restore-and-replay loop ([`DurableStore::open`]) runs it, and
+//! the store keeps the replay bookkeeping it stamps into checkpoints.
 //!
 //! Ingest methods are fallible (`Result<_, RestoreError>`): a summary
 //! that cannot persist its history must say so at the call site, not
@@ -20,7 +23,7 @@ use td_decay::checkpoint::{Checkpoint, RestoreError};
 use td_decay::{ErrorBound, Time};
 
 use crate::storage::Storage;
-use crate::store::{DurableStore, Recovered, ShardCheckpoint, StoreOptions};
+use crate::store::{keyed_entry_error, DurableStore, RecoveryReport, StoreOptions};
 use crate::wal::{WalEntry, WalRecord};
 
 /// Tuning for a [`DurableAggregate`].
@@ -43,22 +46,6 @@ impl Default for DurabilityOptions {
     }
 }
 
-/// What recovery found when a [`DurableAggregate`] was opened.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Whether a valid checkpoint was restored (vs replay-from-empty).
-    pub restored_checkpoint: bool,
-    /// WAL records replayed on top of the checkpoint.
-    pub records_replayed: u64,
-    /// Total flattened ingest entries the recovered state reflects —
-    /// the caller's position in the original stream.
-    pub entries_applied: u64,
-    /// `(segment, byte offset)` where a torn trailing write was
-    /// dropped, if the process died mid-append. Honest-loss report:
-    /// entries logged past this point were not yet durable.
-    pub crash_tail: Option<(u64, u64)>,
-}
-
 /// A checkpointable backend that also ingests *keyed* observations —
 /// the contract `td-registry`'s `KeyedRegistry` fulfills so a whole
 /// multi-tenant registry can sit behind one WAL + one segmented
@@ -76,17 +63,13 @@ pub trait KeyedCheckpoint: Checkpoint {
     }
 }
 
-/// A decayed-stream summary whose history survives process death.
+/// A decayed-stream summary whose history survives process death. The
+/// store keeps the replay bookkeeping; this wrapper keeps only the
+/// checkpoint cadence.
 pub struct DurableAggregate<B: Checkpoint> {
     inner: B,
     store: DurableStore,
     opts: DurabilityOptions,
-    /// Global seq of the last logged record (checkpoint cover point).
-    last_seq: u64,
-    /// Flattened entries reflected by `inner`.
-    entries_applied: u64,
-    /// Newest tick logged — stamped into checkpoints.
-    last_tick: Time,
     records_since_ckpt: u64,
 }
 
@@ -96,68 +79,39 @@ impl<B: Checkpoint> DurableAggregate<B> {
     /// never persisted (matching the `Checkpoint` contract), so the
     /// caller must construct the same backend it originally ran.
     ///
-    /// Recovery: restore the newest valid checkpoint into the fresh
-    /// backend, replay the surviving WAL tail in call-shape order, and
-    /// report what was found. Any damage maps to a typed
-    /// [`RestoreError`] — an `Ok` return is certified replay-complete
-    /// up to [`RecoveryStats::entries_applied`].
+    /// Recovery: [`DurableStore::open`] restores the newest valid
+    /// checkpoint into the fresh backend and replays the surviving WAL
+    /// tail in call-shape order. Any damage maps to a typed
+    /// [`RestoreError`], and so does a keyed (kind-2) entry — an `Ok`
+    /// return is certified replay-complete up to
+    /// [`RecoveryReport::entries_applied`].
     pub fn open(
         storage: Box<dyn Storage>,
         opts: DurabilityOptions,
         make: impl FnOnce() -> B,
-    ) -> Result<(Self, RecoveryStats), RestoreError> {
-        Self::open_impl(storage, opts, make, false, replay_record)
+    ) -> Result<(Self, RecoveryReport), RestoreError> {
+        let mut shape = CallShape::default();
+        Self::open_with(storage, opts, make, |inner, rec| {
+            shape.replay(inner, rec, |_, _| Err(keyed_entry_error()))
+        })
     }
 
-    fn open_impl(
+    fn open_with(
         storage: Box<dyn Storage>,
         opts: DurabilityOptions,
         make: impl FnOnce() -> B,
-        allow_keyed: bool,
-        mut replay: impl FnMut(&mut B, &WalRecord),
-    ) -> Result<(Self, RecoveryStats), RestoreError> {
-        let (store, recovered) = DurableStore::open(storage, opts.store, 1)?;
-        if !allow_keyed {
-            recovered.refuse_keyed(1)?;
-        }
-        let mut inner = make();
-        let restored_checkpoint = match &recovered.checkpoints[0] {
-            Some(ckpt) => {
-                inner.restore_checkpoint(&ckpt.envelope)?;
-                true
-            }
-            None => false,
+        replay: impl FnMut(&mut B, &WalRecord) -> Result<(), RestoreError>,
+    ) -> Result<(Self, RecoveryReport), RestoreError> {
+        let mut shards = [make()];
+        let (store, report) = DurableStore::open(storage, opts.store, &mut shards, replay)?;
+        let [inner] = shards;
+        let durable = DurableAggregate {
+            inner,
+            store,
+            opts,
+            records_since_ckpt: 0,
         };
-        let mut records_replayed = 0u64;
-        for rec in recovered.tail_for(0) {
-            replay(&mut inner, rec);
-            records_replayed += 1;
-        }
-        let entries_applied = recovered.entries_applied(0);
-        let last_tick = recovered
-            .tail_for(0)
-            .flat_map(|r| r.entries.iter())
-            .map(WalEntry::time)
-            .max()
-            .unwrap_or_else(|| recovered.checkpoints[0].as_ref().map_or(0, |c| c.last_tick));
-        let stats = RecoveryStats {
-            restored_checkpoint,
-            records_replayed,
-            entries_applied,
-            crash_tail: recovered.crash_tail,
-        };
-        Ok((
-            DurableAggregate {
-                inner,
-                store,
-                opts,
-                last_seq: recovered.last_seq,
-                entries_applied,
-                last_tick,
-                records_since_ckpt: 0,
-            },
-            stats,
-        ))
+        Ok((durable, report))
     }
 
     /// Logs `entries` as one WAL record, applies them through `apply`,
@@ -168,13 +122,7 @@ impl<B: Checkpoint> DurableAggregate<B> {
     where
         I: ExactSizeIterator<Item = WalEntry>,
     {
-        let n = entries.len() as u64;
-        let rec = self.store.append_record(0, entries)?;
-        self.last_seq = rec.seq;
-        self.entries_applied += n;
-        if let Some(t) = rec.max_tick {
-            self.last_tick = self.last_tick.max(t);
-        }
+        self.store.append_record(0, entries)?;
         self.records_since_ckpt += 1;
         apply(&mut self.inner);
         if self.records_since_ckpt >= self.opts.checkpoint_every_records.max(1) {
@@ -227,15 +175,8 @@ impl<B: Checkpoint> DurableAggregate<B> {
     /// Writes a checkpoint covering everything logged so far and
     /// truncates the superseded WAL tail.
     pub fn checkpoint_now(&mut self) -> Result<(), RestoreError> {
-        self.store.save_shard_checkpoint(
-            0,
-            &ShardCheckpoint {
-                covered_seq: self.last_seq,
-                entries_applied: self.entries_applied,
-                last_tick: self.last_tick,
-                envelope: self.inner.save_checkpoint(),
-            },
-        )?;
+        self.store
+            .save_shard_checkpoint(0, &self.inner.save_checkpoint())?;
         self.records_since_ckpt = 0;
         Ok(())
     }
@@ -248,7 +189,7 @@ impl<B: Checkpoint> DurableAggregate<B> {
 
     /// Flattened ingest entries the in-memory state reflects.
     pub fn entries_applied(&self) -> u64 {
-        self.entries_applied
+        self.store.entries_applied(0)
     }
 
     /// Records logged since the last checkpoint truncated the WAL —
@@ -279,8 +220,17 @@ impl<B: KeyedCheckpoint> DurableAggregate<B> {
         storage: Box<dyn Storage>,
         opts: DurabilityOptions,
         make: impl FnOnce() -> B,
-    ) -> Result<(Self, RecoveryStats), RestoreError> {
-        Self::open_impl(storage, opts, make, true, replay_record_keyed)
+    ) -> Result<(Self, RecoveryReport), RestoreError> {
+        let mut shape = CallShape::default();
+        Self::open_with(storage, opts, make, |inner, rec| {
+            shape.replay(inner, rec, |inner, items| {
+                match *items {
+                    [(key, t, f)] => inner.observe_keyed(key, t, f),
+                    _ => inner.observe_keyed_batch(items),
+                }
+                Ok(())
+            })
+        })
     }
 
     /// Logs then applies one keyed observation. Error contract as
@@ -310,72 +260,56 @@ impl<B: KeyedCheckpoint> DurableAggregate<B> {
     }
 }
 
-/// Applies one recovered WAL record with the same call shape that
-/// produced it. Keyed (kind-2) entries have no un-keyed equivalent
-/// and panic here; `open` screens them out up front, and keyed stores
-/// recover through [`replay_record_keyed`].
-pub fn replay_record<B: Checkpoint>(inner: &mut B, rec: &WalRecord) {
-    replay(inner, rec, |_, _| {
-        panic!("keyed WAL entry replayed through an un-keyed backend")
-    });
+/// Replays records with the call shape that logged them, gathering
+/// each record's items into buffers reused across records.
+#[derive(Default)]
+struct CallShape {
+    observed: Vec<(Time, u64)>,
+    keyed: Vec<(u64, Time, u64)>,
 }
 
-/// [`replay_record`] for keyed backends: kind-2 entries replay through
-/// [`KeyedCheckpoint::observe_keyed`] (one entry) or
-/// [`KeyedCheckpoint::observe_keyed_batch`] (an all-keyed run).
-pub fn replay_record_keyed<B: KeyedCheckpoint>(inner: &mut B, rec: &WalRecord) {
-    replay(inner, rec, |inner, items| match *items {
-        [(key, t, f)] => inner.observe_keyed(key, t, f),
-        _ => inner.observe_keyed_batch(items),
-    });
-}
-
-/// The call shape of a record: one entry is its own call, an
-/// all-observe run one `observe_batch`, an all-keyed run one `keyed`
-/// call. Mixed records are never written today; they replay entry by
-/// entry rather than refusing.
-fn replay<B: Checkpoint>(
-    inner: &mut B,
-    rec: &WalRecord,
-    mut keyed: impl FnMut(&mut B, &[(u64, Time, u64)]),
-) {
-    let observed: Option<Vec<(Time, u64)>> = rec
-        .entries
-        .iter()
-        .map(|e| match *e {
-            WalEntry::Observe(t, f) => Some((t, f)),
-            _ => None,
-        })
-        .collect();
-    let keyed_items: Option<Vec<(u64, Time, u64)>> = rec
-        .entries
-        .iter()
-        .map(|e| match *e {
-            WalEntry::ObserveKeyed(key, t, f) => Some((key, t, f)),
-            _ => None,
-        })
-        .collect();
-    match (rec.entries.as_slice(), observed, keyed_items) {
-        ([], ..) => {}
-        (&[WalEntry::Observe(t, f)], ..) => inner.observe(t, f),
-        (_, Some(items), _) => inner.observe_batch(&items),
-        (_, _, Some(items)) => keyed(inner, &items),
-        (entries, ..) => {
-            for e in entries {
+impl CallShape {
+    /// One observe is one `observe` call, an all-observe run one
+    /// `observe_batch`, an all-keyed run one `keyed` call (which sees
+    /// a 1-item slice for a single keyed entry). Mixed records are
+    /// never written today; they replay entry by entry rather than
+    /// refusing.
+    fn replay<B: Checkpoint>(
+        &mut self,
+        inner: &mut B,
+        rec: &WalRecord,
+        mut keyed: impl FnMut(&mut B, &[(u64, Time, u64)]) -> Result<(), RestoreError>,
+    ) -> Result<(), RestoreError> {
+        self.observed.clear();
+        self.keyed.clear();
+        for e in &rec.entries {
+            match *e {
+                WalEntry::Observe(t, f) => self.observed.push((t, f)),
+                WalEntry::ObserveKeyed(key, t, f) => self.keyed.push((key, t, f)),
+                WalEntry::Advance(_) => {}
+            }
+        }
+        let n = rec.entries.len();
+        if self.observed.len() == n {
+            match *self.observed {
+                [] => {}
+                [(t, f)] => inner.observe(t, f),
+                _ => inner.observe_batch(&self.observed),
+            }
+        } else if self.keyed.len() == n {
+            keyed(inner, &self.keyed)?;
+        } else {
+            for e in &rec.entries {
                 match *e {
                     WalEntry::Observe(t, f) => inner.observe(t, f),
                     WalEntry::Advance(t) => inner.advance(t),
-                    WalEntry::ObserveKeyed(key, t, f) => keyed(inner, &[(key, t, f)]),
+                    WalEntry::ObserveKeyed(key, t, f) => keyed(inner, &[(key, t, f)])?,
                 }
             }
         }
+        Ok(())
     }
 }
-
-/// Exposes [`Recovered`] in the public API for harnesses that drive
-/// recovery and replay by hand (the conformance kill-at-any-byte sweep
-/// does; see `td-conformance::recovery`).
-pub type RecoveredState = Recovered;
 
 #[cfg(test)]
 mod tests {
@@ -393,7 +327,7 @@ mod tests {
         opts: DurabilityOptions,
     ) -> (
         DurableAggregate<ExactDecayedSum<Exponential>>,
-        RecoveryStats,
+        RecoveryReport,
     ) {
         DurableAggregate::open(Box::new(mem.clone()), opts, make).unwrap()
     }
@@ -422,7 +356,7 @@ mod tests {
         // The process dies; only synced bytes survive.
         let (recovered, stats) = opens(&mem.crashed(), opts);
         assert_eq!(stats.entries_applied, 23 + 3 + 1);
-        assert!(stats.restored_checkpoint);
+        assert_eq!(stats.checkpoints_restored, 1);
         assert_eq!(
             recovered.query(90).to_bits(),
             twin.query(90).to_bits(),

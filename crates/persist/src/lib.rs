@@ -16,8 +16,12 @@
 //!   with the torn-tail vs torn-record damage policy. Format-1 records
 //!   are refused as `RestoreError::Version(1)`.
 //! * [`store`] — [`DurableStore`]: group-committed appends behind a
-//!   [`SyncPolicy`], atomic checkpoint + manifest writes, WAL
-//!   truncation, and the deterministic [`recover`] algorithm.
+//!   [`SyncPolicy`], each shard's replay bookkeeping, atomic
+//!   checkpoint + manifest writes, WAL truncation, the deterministic
+//!   [`recover`] algorithm, and the one restore-and-replay loop
+//!   ([`DurableStore::open`]) both durable engines recover through,
+//!   each passing its own call-shape rule and getting a
+//!   [`RecoveryReport`] back.
 //! * [`durable`] — [`DurableAggregate`]: wrap any `Checkpoint` backend
 //!   so every ingest call is logged before it is applied, and
 //!   reopening the store replays history into a bit-identical state.
@@ -33,10 +37,10 @@ pub mod storage;
 pub mod store;
 pub mod wal;
 
-pub use durable::{DurabilityOptions, DurableAggregate, KeyedCheckpoint, RecoveryStats};
+pub use durable::{DurabilityOptions, DurableAggregate, KeyedCheckpoint};
 pub use storage::{DirStorage, MemStorage, Storage};
 pub use store::{
-    recover, Appended, DurableStore, Recovered, ShardCheckpoint, StoreOptions, SyncPolicy,
-    PERSIST_FORMAT_VERSION,
+    keyed_entry_error, recover, DurableStore, Recovered, RecoveryReport, ShardCheckpoint,
+    StoreOptions, SyncPolicy, PERSIST_FORMAT_VERSION,
 };
 pub use wal::{WalEntry, WalRecord};

@@ -36,8 +36,11 @@
 //!    checkpoint was already truncated, an older checkpoint cannot be
 //!    silently patched over the hole — recovery refuses with a typed
 //!    error instead.
-//! 4. Replay = restore each shard's envelope, then apply its records
-//!    with `seq > covered` in sequence order.
+//! 4. Replay ([`DurableStore::open`], the one restore-and-replay
+//!    loop): restore each shard's envelope, then walk the surviving
+//!    records once, in sequence order, handing each record with
+//!    `seq > covered` to its shard through the engine's call-shape
+//!    closure. The same walk seeds each shard's replay bookkeeping.
 //!
 //! # Crash-consistency argument
 //!
@@ -54,7 +57,7 @@
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-use td_decay::checkpoint::{CheckpointReader, CheckpointWriter, RestoreError};
+use td_decay::checkpoint::{Checkpoint, CheckpointReader, CheckpointWriter, RestoreError};
 use td_decay::Time;
 
 use crate::storage::Storage;
@@ -113,7 +116,10 @@ impl Default for StoreOptions {
 }
 
 /// A shard's recovered checkpoint: the nested backend envelope plus
-/// the replay bookkeeping pinned next to it.
+/// the replay bookkeeping pinned next to it. Only the store builds
+/// one, when it reads a checkpoint back; the bookkeeping it carries is
+/// what [`DurableStore::save_shard_checkpoint`] stamped from the
+/// shard's own.
 #[derive(Debug, Clone)]
 pub struct ShardCheckpoint {
     /// Global WAL sequence the state covers: every record of this
@@ -130,6 +136,54 @@ pub struct ShardCheckpoint {
     /// The backend's own TDCP envelope (as produced by
     /// `Checkpoint::save_checkpoint`).
     pub envelope: Vec<u8>,
+}
+
+/// One shard's replay bookkeeping: how much logged history its state
+/// reflects. Appends advance it, checkpoints stamp it, and
+/// [`DurableStore::open`] seeds it from the checkpoint plus the
+/// replayed tail.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Progress {
+    /// Global seq of the shard's newest logged record: the cover point
+    /// of its next checkpoint.
+    covered_seq: u64,
+    /// Flattened ingest entries the state reflects.
+    entries_applied: u64,
+    /// The newest tick the shard has logged.
+    last_tick: Time,
+}
+
+impl Progress {
+    /// Accounts one logged record of `entries` entries, the largest
+    /// tick among them `max_tick`.
+    fn advance(&mut self, seq: u64, entries: u64, max_tick: Option<Time>) {
+        self.covered_seq = seq;
+        self.entries_applied += entries;
+        if let Some(t) = max_tick {
+            self.last_tick = self.last_tick.max(t);
+        }
+    }
+}
+
+/// What [`DurableStore::open`] found and rebuilt: the recovery report
+/// of every durable engine.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// Shards restored from an on-disk checkpoint (the others replayed
+    /// from empty).
+    pub checkpoints_restored: usize,
+    /// WAL records replayed across all shards.
+    pub records_replayed: u64,
+    /// Flattened ingest entries the recovered state reflects, over
+    /// all shards — the caller's position in the original stream.
+    pub entries_applied: u64,
+    /// `(segment, byte offset)` where a torn trailing write was
+    /// dropped, if the process died mid-append. Honest-loss report:
+    /// entries logged past this point were not yet durable.
+    pub crash_tail: Option<(u64, u64)>,
+    /// The newest tick any shard has logged: the clock high-water mark
+    /// a recovered engine resumes at (0 for a fresh store).
+    pub resumed_at: Time,
 }
 
 /// The read-side result of [`recover`]: everything needed to rebuild
@@ -165,36 +219,6 @@ impl Recovered {
             .iter()
             .filter(move |r| r.shard == shard && r.seq > covered)
     }
-
-    /// Refuses, before any replay, a WAL tail for any of `shards`
-    /// holding keyed (kind-2) entries: an un-keyed backend would
-    /// silently collapse every key into one stream.
-    pub fn refuse_keyed(&self, shards: u32) -> Result<(), RestoreError> {
-        let mut tails = (0..shards).flat_map(|i| self.tail_for(i));
-        if tails.any(|r| {
-            r.entries
-                .iter()
-                .any(|e| matches!(e, WalEntry::ObserveKeyed(..)))
-        }) {
-            return Err(RestoreError::Invariant(
-                "WAL holds keyed (kind-2) entries; only DurableAggregate::open_keyed replays them"
-                    .to_string(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Total flattened entries shard `i`'s recovered state reflects
-    /// once its tail is replayed.
-    pub fn entries_applied(&self, shard: u32) -> u64 {
-        let base = self.checkpoints[shard as usize]
-            .as_ref()
-            .map_or(0, |c| c.entries_applied);
-        base + self
-            .tail_for(shard)
-            .map(|r| r.entries.len() as u64)
-            .sum::<u64>()
-    }
 }
 
 fn ckpt_name(shard: u32, seq: u64) -> String {
@@ -210,14 +234,14 @@ fn parse_ckpt_name(name: &str) -> Option<(u32, u64)> {
     Some((shard.parse().ok()?, seq.parse().ok()?))
 }
 
-fn encode_ckpt_wrapper(shard: u32, ckpt: &ShardCheckpoint) -> Vec<u8> {
+fn encode_ckpt_wrapper(shard: u32, progress: &Progress, envelope: &[u8]) -> Vec<u8> {
     let mut w = CheckpointWriter::new(CKPT_WRAPPER_TAG);
     w.put_u32(PERSIST_FORMAT_VERSION);
     w.put_u32(shard);
-    w.put_u64(ckpt.covered_seq);
-    w.put_u64(ckpt.entries_applied);
-    w.put_u64(ckpt.last_tick);
-    w.put_bytes(&ckpt.envelope);
+    w.put_u64(progress.covered_seq);
+    w.put_u64(progress.entries_applied);
+    w.put_u64(progress.last_tick);
+    w.put_bytes(envelope);
     w.seal()
 }
 
@@ -462,18 +486,20 @@ pub fn recover(storage: &dyn Storage, shard_count: u32) -> Result<Recovered, Res
     })
 }
 
-/// A record [`DurableStore::append_record`] wrote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Appended {
-    /// The record's global sequence number.
-    pub seq: u64,
-    /// The largest tick among its entries (`None` for an empty record).
-    pub max_tick: Option<Time>,
+/// The typed refusal an un-keyed engine's replay returns for a keyed
+/// (kind-2) entry: replaying it without its key would silently
+/// collapse every key into one stream.
+pub fn keyed_entry_error() -> RestoreError {
+    RestoreError::Invariant(
+        "WAL holds keyed (kind-2) entries; only DurableAggregate::open_keyed replays them"
+            .to_string(),
+    )
 }
 
 /// The write-side store: owns a [`Storage`], appends WAL records under
-/// the configured [`SyncPolicy`], writes checkpoints + manifest, and
-/// truncates superseded segments.
+/// the configured [`SyncPolicy`], keeps each shard's replay
+/// bookkeeping, writes checkpoints + manifest, and truncates
+/// superseded segments.
 pub struct DurableStore {
     storage: Box<dyn Storage>,
     opts: StoreOptions,
@@ -483,8 +509,12 @@ pub struct DurableStore {
     cur_len: u64,
     unsynced_records: u64,
     last_sync_tick: Option<Time>,
-    /// Per-shard covered sequence as of the newest written checkpoint.
-    covered: Vec<u64>,
+    /// Per shard: what its state reflects, stamped into its next
+    /// checkpoint.
+    progress: Vec<Progress>,
+    /// Per shard: the covered sequence of its newest written
+    /// checkpoint (0 = none), as the manifest lists it.
+    checkpointed: Vec<u64>,
     /// Segment index → max record seq it holds (0 = none yet).
     segments: BTreeMap<u64, u64>,
     /// Working space [`encode_record`] builds each frame in.
@@ -492,17 +522,26 @@ pub struct DurableStore {
 }
 
 impl DurableStore {
-    /// Opens the store: runs [`recover`], repairs a crash tail in the
-    /// final segment (atomically rewriting it to its intact prefix so
-    /// future appends don't bury damage mid-file), and positions the
-    /// write path after the last surviving record. Returns the store
-    /// plus everything the caller needs to rebuild in-memory state.
-    pub fn open(
+    /// Opens the store and rebuilds every shard's state into `shards`
+    /// (one freshly built backend per shard, configured as the store
+    /// was originally run): runs [`recover`], repairs a crash tail in
+    /// the final segment (atomically rewriting it to its intact prefix
+    /// so future appends don't bury damage mid-file), then runs the
+    /// one restore-and-replay loop — restore each shard's checkpoint,
+    /// then walk the surviving records once, handing each record a
+    /// shard has not yet covered to `replay` with that shard's
+    /// backend. `replay` is the engine's call-shape rule; an error
+    /// from it (say [`keyed_entry_error`] from an un-keyed engine)
+    /// aborts the open. The same walk seeds each shard's bookkeeping,
+    /// and the write path resumes after the last surviving record.
+    pub fn open<B: Checkpoint>(
         storage: Box<dyn Storage>,
         opts: StoreOptions,
-        shard_count: u32,
-    ) -> Result<(Self, Recovered), RestoreError> {
-        assert!(shard_count > 0, "shard_count must be at least 1");
+        shards: &mut [B],
+        mut replay: impl FnMut(&mut B, &WalRecord) -> Result<(), RestoreError>,
+    ) -> Result<(Self, RecoveryReport), RestoreError> {
+        assert!(!shards.is_empty(), "need at least one shard");
+        let shard_count = u32::try_from(shards.len()).expect("shard count fits in u32");
         let recovered = recover(&storage, shard_count)?;
 
         if let Some((seg, _)) = recovered.crash_tail {
@@ -535,11 +574,42 @@ impl DurableStore {
             .iter()
             .find(|&&(i, _, _)| i == cur_segment)
             .map_or(0, |&(_, _, intact)| intact);
-        let covered = recovered
-            .checkpoints
-            .iter()
-            .map(|c| c.as_ref().map_or(0, |c| c.covered_seq))
-            .collect();
+
+        // The restore-and-replay loop.
+        let mut progress = vec![Progress::default(); shards.len()];
+        let mut checkpointed = vec![0; shards.len()];
+        let mut report = RecoveryReport {
+            checkpoints_restored: 0,
+            records_replayed: 0,
+            entries_applied: 0,
+            crash_tail: recovered.crash_tail,
+            resumed_at: 0,
+        };
+        for (i, ckpt) in recovered.checkpoints.iter().enumerate() {
+            if let Some(c) = ckpt {
+                shards[i].restore_checkpoint(&c.envelope)?;
+                progress[i] = Progress {
+                    covered_seq: c.covered_seq,
+                    entries_applied: c.entries_applied,
+                    last_tick: c.last_tick,
+                };
+                checkpointed[i] = c.covered_seq;
+                report.checkpoints_restored += 1;
+            }
+        }
+        for rec in &recovered.records {
+            let i = rec.shard as usize;
+            // Records of shards past `shard_count` have no backend.
+            let Some(p) = progress.get_mut(i).filter(|p| rec.seq > p.covered_seq) else {
+                continue;
+            };
+            replay(&mut shards[i], rec)?;
+            let max_tick = rec.entries.iter().map(WalEntry::time).max();
+            p.advance(rec.seq, rec.entries.len() as u64, max_tick);
+            report.records_replayed += 1;
+        }
+        report.entries_applied = progress.iter().map(|p| p.entries_applied).sum();
+        report.resumed_at = progress.iter().map(|p| p.last_tick).max().unwrap_or(0);
 
         let store = DurableStore {
             storage,
@@ -550,19 +620,21 @@ impl DurableStore {
             cur_len,
             unsynced_records: 0,
             last_sync_tick: None,
-            covered,
+            progress,
+            checkpointed,
             segments,
             frame: Vec::new(),
         };
-        Ok((store, recovered))
+        Ok((store, report))
     }
 
-    /// Appends one WAL record for `shard` and applies the sync policy.
-    /// Returns the record's global sequence number and largest tick.
-    /// The entries are encoded as they are iterated, into a buffer the
-    /// store reuses; it keeps room for the widest entries (31 bytes
-    /// each) of the largest record appended so far.
-    pub fn append_record<I>(&mut self, shard: u32, entries: I) -> Result<Appended, RestoreError>
+    /// Appends one WAL record for `shard`, applies the sync policy,
+    /// and advances the shard's bookkeeping. Returns the record's
+    /// global sequence number. The entries are encoded as they are
+    /// iterated, into a buffer the store reuses; it keeps room for the
+    /// widest entries (31 bytes each) of the largest record appended
+    /// so far. On an error the bookkeeping stays where it was.
+    pub fn append_record<I>(&mut self, shard: u32, entries: I) -> Result<u64, RestoreError>
     where
         I: IntoIterator,
         I::Item: Borrow<WalEntry>,
@@ -570,6 +642,8 @@ impl DurableStore {
     {
         assert!(shard < self.shard_count, "shard {shard} out of range");
         let seq = self.next_seq;
+        let entries = entries.into_iter();
+        let n = entries.len() as u64;
         let (frame, max_tick) = encode_record(seq, shard, entries, &mut self.frame);
         let name = segment_name(self.cur_segment);
         self.storage.append(&name, frame)?;
@@ -612,7 +686,8 @@ impl DurableStore {
             self.cur_segment += 1;
             self.cur_len = 0;
         }
-        Ok(Appended { seq, max_tick })
+        self.progress[shard as usize].advance(seq, n, max_tick);
+        Ok(seq)
     }
 
     fn sync_current(&mut self) -> Result<(), RestoreError> {
@@ -626,28 +701,31 @@ impl DurableStore {
         self.sync_current()
     }
 
-    /// Writes `shard`'s checkpoint (covering everything this shard has
-    /// logged up to `covered_seq`), publishes it in the manifest, and
-    /// truncates WAL segments every shard has superseded. A
-    /// `covered_seq` of 0 (nothing logged yet) is a no-op.
+    /// Writes `shard`'s checkpoint — the backend's `envelope` plus the
+    /// shard's bookkeeping, covering everything it has logged —
+    /// publishes it in the manifest, and truncates WAL segments every
+    /// shard has superseded. A shard that has logged nothing yet
+    /// writes nothing.
     pub fn save_shard_checkpoint(
         &mut self,
         shard: u32,
-        ckpt: &ShardCheckpoint,
+        envelope: &[u8],
     ) -> Result<(), RestoreError> {
         assert!(shard < self.shard_count, "shard {shard} out of range");
-        if ckpt.covered_seq == 0 {
+        let progress = self.progress[shard as usize];
+        let seq = progress.covered_seq;
+        if seq == 0 {
             return Ok(());
         }
-        let old = self.covered[shard as usize];
+        let old = self.checkpointed[shard as usize];
         self.storage.write_atomic(
-            &ckpt_name(shard, ckpt.covered_seq),
-            &encode_ckpt_wrapper(shard, ckpt),
+            &ckpt_name(shard, seq),
+            &encode_ckpt_wrapper(shard, &progress, envelope),
         )?;
-        self.covered[shard as usize] = ckpt.covered_seq;
+        self.checkpointed[shard as usize] = seq;
         self.storage
-            .write_atomic(MANIFEST_NAME, &encode_manifest(&self.covered))?;
-        if old != 0 && old != ckpt.covered_seq {
+            .write_atomic(MANIFEST_NAME, &encode_manifest(&self.checkpointed))?;
+        if old != 0 && old != seq {
             self.storage.remove(&ckpt_name(shard, old))?;
         }
         self.truncate_superseded()?;
@@ -674,7 +752,7 @@ impl DurableStore {
     /// The sequence every shard's checkpoint covers — records at or
     /// below it are eligible for truncation.
     pub fn min_covered(&self) -> u64 {
-        self.covered.iter().copied().min().unwrap_or(0)
+        self.checkpointed.iter().copied().min().unwrap_or(0)
     }
 
     /// Records logged but not yet superseded by every shard's
@@ -699,6 +777,12 @@ impl DurableStore {
         self.next_seq
     }
 
+    /// Flattened ingest entries `shard`'s state reflects: its
+    /// checkpoint's count plus every entry logged since.
+    pub(crate) fn entries_applied(&self, shard: u32) -> u64 {
+        self.progress[shard as usize].entries_applied
+    }
+
     /// Reads back `shard`'s newest on-disk checkpoint (the one this
     /// store wrote or recovered), or `None` if the shard has never
     /// checkpointed. The in-process fallback path when an in-memory
@@ -708,7 +792,7 @@ impl DurableStore {
         shard: u32,
     ) -> Result<Option<ShardCheckpoint>, RestoreError> {
         assert!(shard < self.shard_count, "shard {shard} out of range");
-        let seq = self.covered[shard as usize];
+        let seq = self.checkpointed[shard as usize];
         if seq == 0 {
             return Ok(None);
         }
@@ -721,6 +805,10 @@ impl DurableStore {
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
+    use td_counters::ExactDecayedSum;
+    use td_decay::Exponential;
+
+    type Exact = ExactDecayedSum<Exponential>;
 
     fn obs(t: Time, f: u64) -> WalEntry {
         WalEntry::Observe(t, f)
@@ -728,6 +816,35 @@ mod tests {
 
     fn boxed(s: &MemStorage) -> Box<dyn Storage> {
         Box::new(s.clone())
+    }
+
+    fn exact() -> Exact {
+        ExactDecayedSum::new(Exponential::new(0.05))
+    }
+
+    /// Opens `shards` exact backends on `storage`, replaying entry by
+    /// entry.
+    fn open_exact(
+        storage: &MemStorage,
+        opts: StoreOptions,
+        shards: usize,
+    ) -> Result<(DurableStore, Vec<Exact>, RecoveryReport), RestoreError> {
+        let mut backends: Vec<Exact> = (0..shards).map(|_| exact()).collect();
+        let (store, report) = DurableStore::open(boxed(storage), opts, &mut backends, |b, rec| {
+            for e in &rec.entries {
+                match *e {
+                    WalEntry::Observe(t, f) => b.observe(t, f),
+                    WalEntry::Advance(t) => b.advance(t),
+                    WalEntry::ObserveKeyed(..) => return Err(keyed_entry_error()),
+                }
+            }
+            Ok(())
+        })?;
+        Ok((store, backends, report))
+    }
+
+    fn open(storage: &MemStorage, opts: StoreOptions, shards: usize) -> DurableStore {
+        open_exact(storage, opts, shards).expect("store opens").0
     }
 
     #[test]
@@ -752,7 +869,7 @@ mod tests {
         mem.append(&segment_name(0), &crate::wal::tests::v1_frame())
             .unwrap();
         mem.sync(&segment_name(0)).unwrap();
-        let err = DurableStore::open(boxed(&mem), StoreOptions::default(), 1)
+        let err = open_exact(&mem, StoreOptions::default(), 1)
             .err()
             .expect("a v1 segment must not open");
         assert_eq!(err, RestoreError::Version(1));
@@ -766,21 +883,14 @@ mod tests {
     #[test]
     fn append_checkpoint_crash_recover_round_trip() {
         let mem = MemStorage::new();
-        let (mut store, _) = DurableStore::open(boxed(&mem), StoreOptions::default(), 1).unwrap();
-        for i in 0..10u64 {
+        let mut store = open(&mem, StoreOptions::default(), 1);
+        for i in 0..6u64 {
             store.append_record(0, [obs(i, i + 1)]).unwrap();
         }
-        store
-            .save_shard_checkpoint(
-                0,
-                &ShardCheckpoint {
-                    covered_seq: 6,
-                    entries_applied: 6,
-                    last_tick: 0,
-                    envelope: b"envelope-bytes".to_vec(),
-                },
-            )
-            .unwrap();
+        store.save_shard_checkpoint(0, b"envelope-bytes").unwrap();
+        for i in 6..10u64 {
+            store.append_record(0, [obs(i, i + 1)]).unwrap();
+        }
 
         let dead = mem.crashed();
         let rec = recover(&dead, 1).unwrap();
@@ -790,7 +900,9 @@ mod tests {
         assert_eq!(c.envelope, b"envelope-bytes");
         let tail: Vec<u64> = rec.tail_for(0).map(|r| r.seq).collect();
         assert_eq!(tail, vec![7, 8, 9, 10]);
-        assert_eq!(rec.entries_applied(0), 10);
+        let tail_entries: u64 = rec.tail_for(0).map(|r| r.entries.len() as u64).sum();
+        assert_eq!(c.entries_applied + tail_entries, 10);
+        assert_eq!(store.entries_applied(0), 10);
         assert_eq!(rec.last_seq, 10);
     }
 
@@ -801,27 +913,20 @@ mod tests {
             segment_bytes: 128, // a couple of records per segment
             sync: SyncPolicy::EveryRecord,
         };
-        let (mut store, _) = DurableStore::open(boxed(&mem), opts, 1).unwrap();
-        for i in 0..20u64 {
+        let mut store = open(&mem, opts, 1);
+        for i in 0..15u64 {
             store.append_record(0, [obs(i, 1)]).unwrap();
         }
         assert!(store.segment_count() > 2, "rotation must have happened");
         let before = store.segment_count();
-        store
-            .save_shard_checkpoint(
-                0,
-                &ShardCheckpoint {
-                    covered_seq: 15,
-                    entries_applied: 15,
-                    last_tick: 0,
-                    envelope: vec![1, 2, 3],
-                },
-            )
-            .unwrap();
+        store.save_shard_checkpoint(0, &[1, 2, 3]).unwrap();
         assert!(
             store.segment_count() < before,
             "superseded segments removed"
         );
+        for i in 15..20u64 {
+            store.append_record(0, [obs(i, 1)]).unwrap();
+        }
         assert_eq!(store.wal_tail_len(), 5);
 
         let rec = recover(&mem.crashed(), 1).unwrap();
@@ -832,15 +937,15 @@ mod tests {
     #[test]
     fn reopen_resumes_sequence_numbers() {
         let mem = MemStorage::new();
-        let (mut store, _) = DurableStore::open(boxed(&mem), StoreOptions::default(), 1).unwrap();
+        let mut store = open(&mem, StoreOptions::default(), 1);
         store.append_record(0, [obs(1, 1)]).unwrap();
         store.append_record(0, [obs(2, 2)]).unwrap();
         drop(store);
 
-        let (mut store, rec) =
-            DurableStore::open(boxed(&mem.crashed()), StoreOptions::default(), 1).unwrap();
-        assert_eq!(rec.last_seq, 2);
-        let seq = store.append_record(0, [obs(3, 3)]).unwrap().seq;
+        let dead = mem.crashed();
+        assert_eq!(recover(&dead, 1).unwrap().last_seq, 2);
+        let mut store = open(&dead, StoreOptions::default(), 1);
+        let seq = store.append_record(0, [obs(3, 3)]).unwrap();
         assert_eq!(seq, 3);
     }
 
@@ -851,7 +956,7 @@ mod tests {
             segment_bytes: 1 << 20,
             sync: SyncPolicy::EveryN(4),
         };
-        let (mut store, _) = DurableStore::open(boxed(&mem), opts, 1).unwrap();
+        let mut store = open(&mem, opts, 1);
         for i in 0..10u64 {
             store.append_record(0, [obs(i, 1)]).unwrap();
         }
@@ -874,7 +979,7 @@ mod tests {
             segment_bytes: 1 << 20,
             sync: SyncPolicy::IntervalTicks(10),
         };
-        let (mut store, _) = DurableStore::open(boxed(&mem), opts, 1).unwrap();
+        let mut store = open(&mem, opts, 1);
         store.append_record(0, [obs(0, 1)]).unwrap(); // baseline: synced
         store.append_record(0, [obs(5, 1)]).unwrap(); // +5: not synced
         assert_eq!(store.unsynced_records(), 1);
@@ -891,21 +996,14 @@ mod tests {
             segment_bytes: 96,
             sync: SyncPolicy::EveryRecord,
         };
-        let (mut store, _) = DurableStore::open(boxed(&mem), opts, 1).unwrap();
-        for i in 0..12u64 {
+        let mut store = open(&mem, opts, 1);
+        for i in 0..10u64 {
             store.append_record(0, [obs(i, 1)]).unwrap();
         }
-        store
-            .save_shard_checkpoint(
-                0,
-                &ShardCheckpoint {
-                    covered_seq: 10,
-                    entries_applied: 10,
-                    last_tick: 0,
-                    envelope: vec![9; 16],
-                },
-            )
-            .unwrap();
+        store.save_shard_checkpoint(0, &[9; 16]).unwrap();
+        for i in 10..12u64 {
+            store.append_record(0, [obs(i, 1)]).unwrap();
+        }
         // Segments holding records <= 10 were truncated. Now damage
         // the only checkpoint: recovery must refuse, not serve the
         // shortened history.
@@ -922,21 +1020,14 @@ mod tests {
     #[test]
     fn damaged_manifest_falls_back_to_scanning_checkpoints() {
         let mem = MemStorage::new();
-        let (mut store, _) = DurableStore::open(boxed(&mem), StoreOptions::default(), 1).unwrap();
-        for i in 0..6u64 {
+        let mut store = open(&mem, StoreOptions::default(), 1);
+        for i in 0..4u64 {
             store.append_record(0, [obs(i, 1)]).unwrap();
         }
-        store
-            .save_shard_checkpoint(
-                0,
-                &ShardCheckpoint {
-                    covered_seq: 4,
-                    entries_applied: 4,
-                    last_tick: 0,
-                    envelope: b"env".to_vec(),
-                },
-            )
-            .unwrap();
+        store.save_shard_checkpoint(0, b"env").unwrap();
+        for i in 4..6u64 {
+            store.append_record(0, [obs(i, 1)]).unwrap();
+        }
         let damaged = mem.bit_flipped(MANIFEST_NAME, 8 * 30);
         let rec = recover(&damaged, 1).unwrap();
         assert_eq!(rec.checkpoints[0].as_ref().unwrap().covered_seq, 4);
@@ -947,20 +1038,19 @@ mod tests {
     #[test]
     fn crash_tail_is_repaired_on_reopen() {
         let mem = MemStorage::new();
-        let (mut store, _) = DurableStore::open(boxed(&mem), StoreOptions::default(), 1).unwrap();
+        let mut store = open(&mem, StoreOptions::default(), 1);
         store.append_record(0, [obs(1, 1)]).unwrap();
         store.append_record(0, [obs(2, 2)]).unwrap();
         let full = mem.crashed().read(&segment_name(0)).unwrap();
         // Kill mid-second-record.
         let cut = mem.truncated_at(&segment_name(0), full.len() - 5);
 
-        let (mut store2, rec) =
-            DurableStore::open(boxed(&cut), StoreOptions::default(), 1).unwrap();
-        assert_eq!(rec.records.len(), 1);
-        assert!(rec.crash_tail.is_some());
+        let (mut store2, _, report) = open_exact(&cut, StoreOptions::default(), 1).unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert!(report.crash_tail.is_some());
         // New appends land after the repaired prefix; the next
         // recovery is clean.
-        let seq = store2.append_record(0, [obs(3, 3)]).unwrap().seq;
+        let seq = store2.append_record(0, [obs(3, 3)]).unwrap();
         assert_eq!(
             seq, 2,
             "seq of the torn record is reused — it never happened"
@@ -977,39 +1067,112 @@ mod tests {
             segment_bytes: 96,
             sync: SyncPolicy::EveryRecord,
         };
-        let (mut store, _) = DurableStore::open(boxed(&mem), opts, 2).unwrap();
+        let mut store = open(&mem, opts, 2);
         for i in 0..8u64 {
             store.append_record((i % 2) as u32, [obs(i, 1)]).unwrap();
         }
         let before = store.segment_count();
-        store
-            .save_shard_checkpoint(
-                0,
-                &ShardCheckpoint {
-                    covered_seq: 7,
-                    entries_applied: 4,
-                    last_tick: 0,
-                    envelope: b"a".to_vec(),
-                },
-            )
-            .unwrap();
+        store.save_shard_checkpoint(0, b"a").unwrap();
         // Shard 1 has no checkpoint: min covered is 0, nothing may go.
         assert_eq!(store.segment_count(), before);
-        store
-            .save_shard_checkpoint(
-                1,
-                &ShardCheckpoint {
-                    covered_seq: 8,
-                    entries_applied: 4,
-                    last_tick: 0,
-                    envelope: b"b".to_vec(),
-                },
-            )
-            .unwrap();
+        store.save_shard_checkpoint(1, b"b").unwrap();
         assert!(store.segment_count() < before);
         // And recovery still works for both shards.
         let rec = recover(&mem.crashed(), 2).unwrap();
-        assert!(rec.checkpoints[0].is_some() && rec.checkpoints[1].is_some());
+        let covered: Vec<(u64, u64)> = rec
+            .checkpoints
+            .iter()
+            .map(|c| {
+                c.as_ref()
+                    .map(|c| (c.covered_seq, c.entries_applied))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(covered, vec![(7, 4), (8, 4)]);
+    }
+
+    #[test]
+    fn reopen_seeds_each_shards_bookkeeping_from_checkpoint_and_tail() {
+        // An interleaved 3-shard history: records of every shard,
+        // multi-entry and advance-only records, shard 0 checkpointed
+        // mid-history, shard 1 checkpointed early, shard 2 never.
+        let mem = MemStorage::new();
+        let (mut store, mut live, _) = open_exact(&mem, StoreOptions::default(), 3).unwrap();
+        let log = |store: &mut DurableStore, live: &mut [Exact], shard: usize, e: &[WalEntry]| {
+            store.append_record(shard as u32, e).unwrap();
+            for &e in e {
+                match e {
+                    WalEntry::Observe(t, f) => live[shard].observe(t, f),
+                    WalEntry::Advance(t) => live[shard].advance(t),
+                    WalEntry::ObserveKeyed(..) => unreachable!("un-keyed history"),
+                }
+            }
+        };
+        log(&mut store, &mut live, 1, &[obs(1, 4), obs(2, 5)]);
+        log(&mut store, &mut live, 0, &[obs(3, 1)]);
+        store
+            .save_shard_checkpoint(1, &live[1].save_checkpoint())
+            .unwrap();
+        log(&mut store, &mut live, 2, &[obs(4, 2), obs(4, 3), obs(9, 1)]);
+        log(&mut store, &mut live, 0, &[WalEntry::Advance(7)]);
+        log(&mut store, &mut live, 1, &[obs(8, 6)]);
+        log(&mut store, &mut live, 0, &[obs(8, 2), obs(11, 3)]);
+        store
+            .save_shard_checkpoint(0, &live[0].save_checkpoint())
+            .unwrap();
+        log(&mut store, &mut live, 2, &[WalEntry::Advance(12)]);
+        log(&mut store, &mut live, 0, &[WalEntry::Advance(20)]);
+        log(&mut store, &mut live, 1, &[obs(13, 1)]);
+        let held = store.progress.clone();
+        assert_eq!(
+            held,
+            vec![
+                Progress {
+                    covered_seq: 8,
+                    entries_applied: 5,
+                    last_tick: 20
+                },
+                Progress {
+                    covered_seq: 9,
+                    entries_applied: 4,
+                    last_tick: 13
+                },
+                Progress {
+                    covered_seq: 7,
+                    entries_applied: 4,
+                    last_tick: 12
+                },
+            ]
+        );
+
+        let dead = mem.crashed();
+        let (mut reopened, backends, report) =
+            open_exact(&dead, StoreOptions::default(), 3).unwrap();
+        assert_eq!(reopened.progress, held);
+        assert_eq!(report.checkpoints_restored, 2);
+        // Shard 0 replays 1 record past its checkpoint, shard 1 two,
+        // shard 2 all of its two.
+        assert_eq!(report.records_replayed, 5);
+        assert_eq!(report.entries_applied, 5 + 4 + 4);
+        assert_eq!(report.resumed_at, 20);
+        for (b, l) in backends.iter().zip(&live) {
+            assert_eq!(b.query(30).to_bits(), l.query(30).to_bits());
+        }
+
+        // The first checkpoint after the reopen writes what the live
+        // store would have written.
+        for shard in 0..3u32 {
+            let envelope = backends[shard as usize].save_checkpoint();
+            reopened.save_shard_checkpoint(shard, &envelope).unwrap();
+            let c = reopened.read_shard_checkpoint(shard).unwrap().unwrap();
+            let want = held[shard as usize];
+            assert_eq!(
+                (c.covered_seq, c.entries_applied, c.last_tick),
+                (want.covered_seq, want.entries_applied, want.last_tick),
+                "shard {shard}"
+            );
+            assert_eq!(c.envelope, envelope);
+        }
     }
 
     #[test]

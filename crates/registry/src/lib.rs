@@ -1195,7 +1195,7 @@ mod tests {
         // policy, so everything logged is durable).
         let (recovered, stats) =
             DurableAggregate::open_keyed(Box::new(mem.crashed()), opts, make).unwrap();
-        assert!(stats.restored_checkpoint);
+        assert_eq!(stats.checkpoints_restored, 1);
         assert_eq!(recovered.inner().evictions(), twin.evictions());
         for k in 0..53u64 {
             assert_eq!(

@@ -346,13 +346,6 @@ impl<A: StreamAggregate> Reorderer<A> {
         if t < self.watermark {
             return self.handle_late(source, t, f);
         }
-        if t == self.watermark {
-            // Due on arrival: everything buffered is later, so the item
-            // alone is the next release.
-            self.released_items += 1;
-            self.inner.observe_batch(&[(t, f)]);
-            return Ok(());
-        }
         // The new watermark comes first, so the ring is sized for the
         // span this item leaves behind, not the one it closes.
         let from = self.watermark;
@@ -360,9 +353,24 @@ impl<A: StreamAggregate> Reorderer<A> {
             self.max_seen = t;
             self.watermark = from.max(t.saturating_sub(self.allowed_lateness));
         }
-        self.insert(t, f);
-        if self.watermark > from {
-            self.release(from);
+        let raised = self.watermark > from;
+        if t > self.watermark {
+            self.insert(t, f);
+            if raised {
+                self.release(from);
+            }
+        } else {
+            // Due on arrival: the item sits at the old watermark, or it
+            // raised the watermark to itself (zero lateness). What the
+            // raise releases is older and goes first; what stays
+            // buffered is later. The item never visits the wheel.
+            if raised {
+                self.release(from);
+            }
+            self.released_items += 1;
+            self.inner.observe_batch(&[(t, f)]);
+        }
+        if raised {
             self.fire_watermark();
         }
         Ok(())

@@ -277,3 +277,57 @@ fn huge_bound_allocates_by_items_not_by_ticks() {
     let steps = [Step::Push(0, 1, 2), Step::Push(0, 1 << 39, 3)];
     certify(1 << 40, 1, &steps);
 }
+
+#[test]
+fn zero_lateness_push_releases_on_arrival() {
+    // At a bound of 0 every on-time item is due as it arrives: one that
+    // raises the watermark, one at it, and an equal-tick item from the
+    // other source. Items below the watermark are late: `Reject` drops
+    // them with a typed error, `Fold` applies them at the watermark.
+    // The model: what reaches the backend is the arrival stream with
+    // each late item dropped or clamped to the watermark.
+    let mut rng = Mix(6);
+    let mut arrivals = Vec::new();
+    let mut t: Time = 0;
+    for _ in 0..3000 {
+        t += rng.below(3);
+        let late = rng.below(10) == 0 && t > 0;
+        let at = if late { t - 1 - rng.below(t.min(5)) } else { t };
+        arrivals.push((rng.below(2) as usize, at, 1 + rng.below(9)));
+    }
+    for policy in [LatenessPolicy::Reject, LatenessPolicy::Fold] {
+        let decay = || Box::new(decay()) as Box<dyn DecayFunction>;
+        let mut rec = Reorderer::with_sources(Recorder::default(), decay(), 0, policy, 2);
+        let mut staged = Reorderer::with_sources(exact(), decay(), 0, policy, 2);
+        let (mut want, mut w) = (Vec::new(), 0);
+        for &(source, t, f) in &arrivals {
+            let refused = rec.push(source, t, f).is_err();
+            assert_eq!(staged.push(source, t, f).is_err(), refused);
+            if t >= w {
+                want.push((t, f));
+                w = t;
+            } else if policy == LatenessPolicy::Fold {
+                want.push((w, f));
+            } else {
+                assert!(refused, "late item at {t} under W = {w} was accepted");
+            }
+            assert_eq!(rec.stats().buffered_items, 0, "an item waited at bound 0");
+            assert_eq!(rec.watermark(), w);
+        }
+        assert!(
+            rec.inner().items == want,
+            "{policy:?}: released stream != arrivals"
+        );
+        let mut direct = exact();
+        for &(t, f) in &want {
+            direct.observe(t, f);
+        }
+        for q in [w, w + 1, w + 1000] {
+            assert_eq!(
+                staged.query(q).to_bits(),
+                direct.query(q).to_bits(),
+                "{policy:?}: answer at {q} differs from the replay"
+            );
+        }
+    }
+}

@@ -46,7 +46,10 @@
 //! encode the copy with the [`Checkpoint`] trait's versioned,
 //! checksummed encoding and restore from those bytes (so the checksum
 //! guards every restore), and [durable](ShardedAggregate::durable)
-//! engines encode once per cadence for disk. On a panic the worker
+//! engines encode once per cadence for disk. A durable engine's
+//! replay bookkeeping lives in the shared `td_persist::DurableStore`,
+//! and it recovers through that store's one restore-and-replay loop,
+//! replaying each WAL record as one drained chunk. On a panic the worker
 //! restores the restart point in place, replays the failed chunk, and
 //! carries on — a deterministic "poison pill" chunk that panics again
 //! on replay is skipped with its mass accounted as lost.
@@ -90,7 +93,9 @@ use std::time::{Duration, Instant};
 
 use td_decay::checkpoint::{Checkpoint, RestoreError};
 use td_decay::{Envelope, ErrorBound, StorageAccounting, StreamAggregate, Time};
-use td_persist::{DurableStore, ShardCheckpoint, Storage, StoreOptions, WalEntry};
+use td_persist::{
+    keyed_entry_error, DurableStore, RecoveryReport, Storage, StoreOptions, WalEntry,
+};
 
 /// How many messages a worker drains per ring pop (and the batch fed to
 /// `observe_batch`). Large enough to amortize the per-chunk atomics and
@@ -326,8 +331,8 @@ pub struct SupervisorOptions {
     /// advance their durability clock on *logged traffic* — if the
     /// stream falls silent right after an unsynced append, those bytes
     /// would otherwise stay exposed indefinitely. `None` disables the
-    /// tick (exposure until the next record or [`flush_wal`]
-    /// (ShardedAggregate::flush_wal)).
+    /// tick (exposure until the next record or
+    /// [`flush_wal`](ShardedAggregate::flush_wal)).
     pub wal_flush_idle: Option<Duration>,
 }
 
@@ -367,22 +372,6 @@ impl DurabilityConfig {
     }
 }
 
-/// What [`ShardedAggregate::durable`] found on disk when it opened.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurableRecovery {
-    /// Shards restored from an on-disk checkpoint (vs replay-from-empty).
-    pub checkpoints_restored: usize,
-    /// WAL records replayed across all shards.
-    pub records_replayed: u64,
-    /// Per-shard flattened ingest entries the recovered state reflects.
-    pub entries_applied: Vec<u64>,
-    /// `(segment, byte offset)` of a torn trailing write dropped during
-    /// recovery, if the previous process died mid-append.
-    pub crash_tail: Option<(u64, u64)>,
-    /// The clock high-water mark the engine resumed at.
-    pub resumed_at: Time,
-}
-
 /// The wire format between coordinator and workers. `Copy`, so the ring
 /// can move whole slices with one atomic release per chunk.
 #[derive(Clone, Copy, Debug)]
@@ -395,15 +384,6 @@ fn msg_to_entry(m: &Msg) -> WalEntry {
     match *m {
         Msg::Observe(t, f) => WalEntry::Observe(t, f),
         Msg::Advance(t) => WalEntry::Advance(t),
-    }
-}
-
-fn entry_to_msg(e: &WalEntry) -> Msg {
-    match *e {
-        WalEntry::Observe(t, f) => Msg::Observe(t, f),
-        WalEntry::Advance(t) => Msg::Advance(t),
-        // `durable` refuses keyed stores before replay starts.
-        WalEntry::ObserveKeyed(..) => unreachable!("keyed entries are refused on open"),
     }
 }
 
@@ -578,64 +558,17 @@ pub struct ShardedAggregate<B> {
     watermark_published: AtomicBool,
 }
 
-/// A worker's handle on the shared durable store, plus the replay
-/// bookkeeping it stamps into on-disk checkpoints.
-struct DurableWorker {
-    store: Arc<Mutex<DurableStore>>,
-    shard: u32,
-    /// Global seq of this shard's last logged record — the cover point
-    /// of its next checkpoint.
-    last_seq: u64,
-    /// Flattened ingest entries this shard's state reflects.
-    entries_applied: u64,
-    /// Newest stream tick this shard has logged.
-    last_tick: Time,
-}
-
-impl DurableWorker {
-    /// Appends one drained chunk as a single WAL record (chunk
-    /// boundaries ARE record boundaries, so recovery replays the exact
-    /// same `apply_chunk` call pattern). The chunk is encoded straight
-    /// from the ring's messages.
-    fn log_chunk(&mut self, buf: &[Msg]) -> Result<(), RestoreError> {
-        let rec = self
-            .store
-            .lock()
-            .expect("durable store mutex")
-            .append_record(self.shard, buf.iter().map(msg_to_entry))?;
-        self.last_seq = rec.seq;
-        self.entries_applied += buf.len() as u64;
-        if let Some(t) = rec.max_tick {
-            self.last_tick = self.last_tick.max(t);
-        }
-        Ok(())
-    }
-
-    /// Writes this shard's on-disk checkpoint covering everything it
-    /// has logged (also truncating globally superseded WAL segments).
-    fn save_checkpoint(&self, envelope: Vec<u8>) -> Result<(), RestoreError> {
-        self.store
-            .lock()
-            .expect("durable store mutex")
-            .save_shard_checkpoint(
-                self.shard,
-                &ShardCheckpoint {
-                    covered_seq: self.last_seq,
-                    entries_applied: self.entries_applied,
-                    last_tick: self.last_tick,
-                    envelope,
-                },
-            )
-    }
-}
-
 /// Everything a worker needs beyond its ring consumer.
 struct WorkerCtx<B> {
     state: Arc<ShardState<B>>,
     ckpt_ops: Option<CkptFns<B>>,
     max_restarts: u64,
     checkpoint_every: u64,
-    durable: Option<DurableWorker>,
+    /// The shared WAL + checkpoint store (durable engines only), which
+    /// keeps this shard's replay bookkeeping.
+    store: Option<Arc<Mutex<DurableStore>>>,
+    /// This worker's shard index: the WAL shard field.
+    shard: u32,
     /// Idle-flush cadence (see [`SupervisorOptions::wal_flush_idle`]).
     wal_flush_idle: Option<Duration>,
 }
@@ -698,7 +631,6 @@ fn apply_chunk<B: StreamAggregate>(backend: &mut B, buf: &[Msg], items: &mut Vec
 /// forward, with any unreplayable difference added to `lost_mass`.
 fn try_recover<B: StreamAggregate + Clone>(
     ctx: &WorkerCtx<B>,
-    dur: Option<&DurableWorker>,
     backend: &mut B,
     buf: &[Msg],
     items: &mut Vec<(Time, u64)>,
@@ -724,12 +656,11 @@ fn try_recover<B: StreamAggregate + Clone>(
             // corruption). A durable engine has a second copy: the
             // on-disk checkpoint written at the same cadence point —
             // prefer it over quarantining the shard.
-            let from_disk = dur.and_then(|d| {
-                let ck = d
-                    .store
+            let from_disk = ctx.store.as_ref().and_then(|store| {
+                let ck = store
                     .lock()
                     .expect("durable store mutex")
-                    .read_shard_checkpoint(d.shard);
+                    .read_shard_checkpoint(ctx.shard);
                 let bytes = ck.ok().flatten()?.envelope;
                 (fns.restore)(backend, &bytes).ok().map(|()| bytes)
             });
@@ -781,14 +712,13 @@ fn try_recover<B: StreamAggregate + Clone>(
 /// through `applied`. On shutdown it drains the ring to empty before
 /// exiting, so no submitted item is ever dropped; on quarantine it
 /// exits immediately and the coordinator stops routing to it.
-fn worker_loop<B: StreamAggregate + Clone>(mut ctx: WorkerCtx<B>, mut rx: spsc::Consumer<Msg>) {
+fn worker_loop<B: StreamAggregate + Clone>(ctx: WorkerCtx<B>, mut rx: spsc::Consumer<Msg>) {
     let mut buf: Vec<Msg> = Vec::with_capacity(DRAIN_BATCH);
     let mut items: Vec<(Time, u64)> = Vec::with_capacity(DRAIN_BATCH);
     // Cumulative observation mass applied to the backend. Worker-local:
     // only recovery and checkpointing need it.
     let mut applied_mass: u64 = 0;
     let mut chunks_since_ckpt: u64 = 0;
-    let mut dur = ctx.durable.take();
     let mut last_idle_flush = Instant::now();
     loop {
         buf.clear();
@@ -807,9 +737,9 @@ fn worker_loop<B: StreamAggregate + Clone>(mut ctx: WorkerCtx<B>, mut rx: spsc::
                 // after an unsynced append would leave those bytes
                 // exposed indefinitely. Once per cadence, an idle
                 // worker makes any silent-but-dirty WAL tail durable.
-                if let (Some(d), Some(cadence)) = (dur.as_ref(), ctx.wal_flush_idle) {
+                if let (Some(store), Some(cadence)) = (&ctx.store, ctx.wal_flush_idle) {
                     if last_idle_flush.elapsed() >= cadence {
-                        let mut store = d.store.lock().expect("durable store mutex");
+                        let mut store = store.lock().expect("durable store mutex");
                         if store.unsynced_records() > 0 {
                             if let Err(e) = store.flush() {
                                 ctx.state
@@ -828,9 +758,16 @@ fn worker_loop<B: StreamAggregate + Clone>(mut ctx: WorkerCtx<B>, mut rx: spsc::
         // Write-ahead: the chunk is in the log before it can touch the
         // backend. A shard that cannot persist its history anymore is
         // quarantined — its in-memory state would otherwise silently
-        // run ahead of what a restart could rebuild.
-        if let Some(d) = dur.as_mut() {
-            if let Err(e) = d.log_chunk(&buf) {
+        // run ahead of what a restart could rebuild. Chunk boundaries
+        // are record boundaries, so recovery replays the same
+        // `apply_chunk` calls; the chunk is encoded straight from the
+        // ring's messages.
+        if let Some(store) = &ctx.store {
+            let logged = store
+                .lock()
+                .expect("durable store mutex")
+                .append_record(ctx.shard, buf.iter().map(msg_to_entry));
+            if let Err(e) = logged {
                 ctx.state.note_failure(format!("WAL append failed: {e}"));
                 ctx.state.lost_mass.fetch_add(batch_mass, Ordering::Release);
                 ctx.state
@@ -868,17 +805,21 @@ fn worker_loop<B: StreamAggregate + Clone>(mut ctx: WorkerCtx<B>, mut rx: spsc::
                             // the older consistent pair and retries
                             // next chunk. Only the disk copy is
                             // encoded; the in-memory one is typed.
-                            let disk_ok = match dur.as_ref() {
+                            let disk_ok = match &ctx.store {
                                 None => true,
-                                Some(d) => match d.save_checkpoint((fns.save)(&backend)) {
-                                    Ok(()) => true,
-                                    Err(e) => {
+                                Some(store) => {
+                                    let envelope = (fns.save)(&backend);
+                                    let saved = store
+                                        .lock()
+                                        .expect("durable store mutex")
+                                        .save_shard_checkpoint(ctx.shard, &envelope);
+                                    if let Err(e) = &saved {
                                         ctx.state.note_failure(format!(
                                             "durable checkpoint failed: {e}"
                                         ));
-                                        false
                                     }
-                                },
+                                    saved.is_ok()
+                                }
                             };
                             if disk_ok {
                                 let mut slot = ctx.state.ckpt.lock().expect("checkpoint mutex");
@@ -898,7 +839,6 @@ fn worker_loop<B: StreamAggregate + Clone>(mut ctx: WorkerCtx<B>, mut rx: spsc::
                     ctx.state.health.store(HEALTH_FAILED, Ordering::Release);
                     let recovered = try_recover(
                         &ctx,
-                        dur.as_ref(),
                         &mut backend,
                         &buf,
                         &mut items,
@@ -1006,15 +946,6 @@ fn hash_key(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Recovered per-shard initial state handed from
-/// [`ShardedAggregate::durable`] into `build`.
-struct DurableBuild<B> {
-    store: Arc<Mutex<DurableStore>>,
-    /// Per shard: recovered backend, last logged seq, flattened entries
-    /// applied, newest tick seen.
-    inits: Vec<(B, u64, u64, Time)>,
-}
-
 impl<B: StreamAggregate + Checkpoint + Clone + Send + 'static> ShardedAggregate<B> {
     /// Spawns a **supervised** engine: workers checkpoint their
     /// backends on the configured cadence and self-heal from panics by
@@ -1037,12 +968,12 @@ impl<B: StreamAggregate + Checkpoint + Clone + Send + 'static> ShardedAggregate<
     /// `td-persist` for the format and the crash-consistency
     /// argument).
     ///
-    /// Returns the engine plus a [`DurableRecovery`] describing what
+    /// Returns the engine plus a [`RecoveryReport`] describing what
     /// was found on disk (all zeros for a fresh directory). Recovery
     /// damage surfaces as a typed [`RestoreError`] — torn mid-file
-    /// records, unloadable checkpoints, and truncation gaps all refuse
-    /// deterministically rather than serving a silently shortened
-    /// history.
+    /// records, unloadable checkpoints, truncation gaps and keyed
+    /// (kind-2) histories all refuse deterministically rather than
+    /// serving a silently shortened history.
     ///
     /// `make` must construct the same backend configuration the store
     /// was originally run with (configuration is never persisted,
@@ -1052,71 +983,38 @@ impl<B: StreamAggregate + Checkpoint + Clone + Send + 'static> ShardedAggregate<
         opts: SupervisorOptions,
         durability: DurabilityConfig,
         make: impl Fn() -> B,
-    ) -> Result<(Self, DurableRecovery), RestoreError> {
+    ) -> Result<(Self, RecoveryReport), RestoreError> {
         let fns = CkptFns {
             save: save_ckpt::<B>,
             restore: restore_ckpt::<B>,
         };
-        let (store, recovered) =
-            DurableStore::open(durability.storage, durability.options, shards as u32)?;
-        // Keys were never resolved to shards, so a keyed history has no
-        // shard-level meaning.
-        recovered.refuse_keyed(shards as u32)?;
-        let mut inits = Vec::with_capacity(shards);
-        let mut entries_applied = Vec::with_capacity(shards);
-        let mut checkpoints_restored = 0usize;
-        let mut records_replayed = 0u64;
-        let mut resumed_at: Time = 0;
-        let mut buf: Vec<Msg> = Vec::new();
-        let mut items: Vec<(Time, u64)> = Vec::new();
-        for i in 0..shards {
-            let mut b = make();
-            let mut last_seq = 0u64;
-            let mut last_tick: Time = 0;
-            if let Some(c) = &recovered.checkpoints[i] {
-                b.restore_checkpoint(&c.envelope)?;
-                last_seq = c.covered_seq;
-                last_tick = c.last_tick;
-                checkpoints_restored += 1;
-            }
-            // Replay the WAL tail chunk-for-chunk: record boundaries
-            // are the drained-chunk boundaries the workers originally
-            // applied, so `apply_chunk` reproduces the exact batched
-            // call pattern and the recovered state is bit-identical.
-            for rec in recovered.tail_for(i as u32) {
-                buf.clear();
-                buf.extend(rec.entries.iter().map(entry_to_msg));
-                if let Some(t) = rec.entries.iter().map(WalEntry::time).max() {
-                    last_tick = last_tick.max(t);
+        let mut backends: Vec<B> = (0..shards).map(|_| make()).collect();
+        let (mut chunk, mut items) = (Vec::new(), Vec::new());
+        // A record is one drained chunk, so `apply_chunk` reproduces
+        // the exact batched call pattern the worker applied and the
+        // recovered state is bit-identical.
+        let (store, report) = DurableStore::open(
+            durability.storage,
+            durability.options,
+            &mut backends,
+            |backend, rec| {
+                chunk.clear();
+                for e in &rec.entries {
+                    chunk.push(match *e {
+                        WalEntry::Observe(t, f) => Msg::Observe(t, f),
+                        WalEntry::Advance(t) => Msg::Advance(t),
+                        // Keys were never resolved to shards, so a
+                        // keyed history has no shard-level meaning.
+                        WalEntry::ObserveKeyed(..) => return Err(keyed_entry_error()),
+                    });
                 }
-                apply_chunk(&mut b, &buf, &mut items);
-                last_seq = rec.seq;
-                records_replayed += 1;
-            }
-            let ea = recovered.entries_applied(i as u32);
-            entries_applied.push(ea);
-            resumed_at = resumed_at.max(last_tick);
-            inits.push((b, last_seq, ea, last_tick));
-        }
-        let store = Arc::new(Mutex::new(store));
-        let eng = Self::build(
-            shards,
-            opts,
-            Some(fns),
-            &make,
-            Some(DurableBuild { store, inits }),
-        );
-        eng.last_t.store(resumed_at, Ordering::Release);
-        Ok((
-            eng,
-            DurableRecovery {
-                checkpoints_restored,
-                records_replayed,
-                entries_applied,
-                crash_tail: recovered.crash_tail,
-                resumed_at,
+                apply_chunk(backend, &chunk, &mut items);
+                Ok(())
             },
-        ))
+        )?;
+        let eng = Self::build(shards, opts, Some(fns), &make, Some((store, backends)));
+        eng.last_t.store(report.resumed_at, Ordering::Release);
+        Ok((eng, report))
     }
 }
 
@@ -1151,43 +1049,17 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         opts: SupervisorOptions,
         ckpt_ops: Option<CkptFns<B>>,
         make: &dyn Fn() -> B,
-        durable: Option<DurableBuild<B>>,
+        durable: Option<(DurableStore, Vec<B>)>,
     ) -> Self {
         assert!(shards >= 1, "need at least one shard");
         let template = make();
-        let (durable_store, mut durable_inits) = match durable {
-            Some(d) => {
-                assert_eq!(d.inits.len(), shards, "one recovered init per shard");
-                (
-                    Some(d.store),
-                    d.inits.into_iter().map(Some).collect::<Vec<_>>(),
-                )
-            }
-            None => (None, Vec::new()),
+        let (durable_store, backends) = match durable {
+            Some((store, backends)) => (Some(Arc::new(Mutex::new(store))), backends),
+            None => (None, (0..shards).map(|_| make()).collect()),
         };
         let mut handles = Vec::with_capacity(shards);
-        // `i` is the shard id (thread name, WAL shard field), not just
-        // an index into `durable_inits` — a range loop reads clearer.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..shards {
+        for (i, backend) in backends.into_iter().enumerate() {
             let (tx, rx) = spsc::ring::<Msg>(opts.ring_capacity);
-            let (backend, durable_worker) = match &durable_store {
-                Some(store) => {
-                    let (b, last_seq, entries_applied, last_tick) =
-                        durable_inits[i].take().expect("init consumed once");
-                    (
-                        b,
-                        Some(DurableWorker {
-                            store: Arc::clone(store),
-                            shard: i as u32,
-                            last_seq,
-                            entries_applied,
-                            last_tick,
-                        }),
-                    )
-                }
-                None => (make(), None),
-            };
             // Seed the checkpoint with the pristine backend, so a shard
             // that dies before its first save still restores to a valid
             // (empty) state with its whole submitted mass at risk.
@@ -1212,7 +1084,8 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
                 ckpt_ops,
                 max_restarts: opts.max_restarts,
                 checkpoint_every: opts.checkpoint_every_chunks.max(1),
-                durable: durable_worker,
+                store: durable_store.clone(),
+                shard: i as u32,
                 wal_flush_idle: opts.wal_flush_idle,
             };
             let worker = thread::Builder::new()
@@ -2362,9 +2235,8 @@ mod tests {
             (mem, eng)
         };
         let durable_entries = |mem: &MemStorage| {
-            let (_s, rec) =
-                DurableStore::open(Box::new(mem.crashed()), StoreOptions::default(), 1).unwrap();
-            rec.entries_applied(0)
+            let rec = td_persist::recover(&mem.crashed(), 1).unwrap();
+            rec.tail_for(0).map(|r| r.entries.len() as u64).sum::<u64>()
         };
 
         // Control: no idle tick. The silent tail stays dirty — a crash
@@ -2394,14 +2266,26 @@ mod tests {
         drop(eng_on);
     }
 
+    /// A fresh store of `shards` shards on `mem`, written directly.
+    fn raw_store(mem: &MemStorage, shards: usize) -> DurableStore {
+        let mut fresh: Vec<_> = (0..shards)
+            .map(|_| ExactDecayedSum::new(Exponential::new(0.01)))
+            .collect();
+        let opened = DurableStore::open(
+            Box::new(mem.clone()),
+            StoreOptions::default(),
+            &mut fresh,
+            |_, _| unreachable!("a fresh store has no records"),
+        );
+        opened.expect("fresh store").0
+    }
+
     #[test]
     fn durable_refuses_a_keyed_store_before_replay() {
         // The kind-2 history `DurableAggregate::open_keyed` logs.
         let mem = MemStorage::new();
         {
-            let (mut store, _) =
-                td_persist::DurableStore::open(Box::new(mem.clone()), Default::default(), 1)
-                    .expect("fresh store");
+            let mut store = raw_store(&mem, 1);
             store
                 .append_record(0, [WalEntry::ObserveKeyed(7, 10, 3)])
                 .expect("append");
@@ -2414,6 +2298,39 @@ mod tests {
             || ExactDecayedSum::new(Exponential::new(0.01)),
         );
         assert!(matches!(opened, Err(RestoreError::Invariant(_))));
+    }
+
+    #[test]
+    fn durable_refuses_a_keyed_entry_in_a_later_shards_tail() {
+        // Two shards of plain history; shard 1 checkpoints, then a
+        // keyed entry lands in its tail. The replay of shard 1's tail
+        // must refuse it, after shard 0's records replayed cleanly.
+        let mem = MemStorage::new();
+        {
+            let mut store = raw_store(&mem, 2);
+            let mut one = ExactDecayedSum::new(Exponential::new(0.01));
+            store.append_record(0, [WalEntry::Observe(1, 2)]).unwrap();
+            store.append_record(1, [WalEntry::Observe(2, 3)]).unwrap();
+            one.observe(2, 3);
+            store
+                .save_shard_checkpoint(1, &one.save_checkpoint())
+                .unwrap();
+            store.append_record(0, [WalEntry::Observe(3, 1)]).unwrap();
+            store
+                .append_record(1, [WalEntry::ObserveKeyed(7, 4, 5)])
+                .unwrap();
+            store.flush().unwrap();
+        }
+        let opened = ShardedAggregate::durable(
+            2,
+            SupervisorOptions::default(),
+            DurabilityConfig::new(Box::new(mem.crashed())),
+            || ExactDecayedSum::new(Exponential::new(0.01)),
+        );
+        match opened {
+            Err(e) => assert_eq!(e, td_persist::keyed_entry_error()),
+            Ok(_) => panic!("a keyed entry in shard 1's tail must refuse the open"),
+        }
     }
 
     #[test]
@@ -2458,7 +2375,7 @@ mod tests {
         );
         assert_eq!(rec.resumed_at, t_last + 5);
         // 500 observes + one Advance broadcast to each of 3 shards.
-        assert_eq!(rec.entries_applied.iter().sum::<u64>(), 503);
+        assert_eq!(rec.entries_applied, 503);
         let after = eng2.query(t_last + 6);
         assert_eq!(
             before.to_bits(),

@@ -166,7 +166,10 @@ fn main() {
         DurableAggregate::open_keyed(Box::new(wal_mem.crashed()), opts, mk_reg).expect("recover");
     println!(
         "\nWAL recovery: replayed {} records ({} keyed entries) into a fresh registry",
-        stats.records_replayed,
+        stats.records_replayed, stats.entries_applied
+    );
+    assert_eq!(
+        stats.entries_applied,
         replayed.inner().stats().touches_total
     );
     for (i, &k) in probe_keys.iter().enumerate() {
