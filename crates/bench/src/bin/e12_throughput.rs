@@ -2,7 +2,11 @@
 //! claims, in wall-clock form), plus the single-item vs batched ingest
 //! comparison on a bursty stream. Criterion micro-benches give the
 //! rigorous numbers (`cargo bench -p td-bench`); this binary prints a
-//! one-page summary and writes `BENCH_throughput.json`.
+//! one-page summary and is the one gate binary: it asserts seven
+//! performance gates, the last of them against the committed
+//! `BENCH_throughput.json`, which it reads and never writes. Its own
+//! JSON rows go to stdout, so refreshing that baseline is a deliberate
+//! commit of a run's output.
 
 use std::time::Instant;
 
@@ -11,8 +15,10 @@ use td_ceh::CascadedEh;
 use td_counters::{ExactDecayedSum, ExpCounter, PolyExpCounter, QuantizedExpCounter};
 use td_decay::{
     DecayFunction, Exponential, PolyExponential, Polynomial, StorageAccounting, StreamAggregate,
+    Time,
 };
 use td_forward::ForwardDecaySum;
+use td_registry::{KeyedRegistry, RegistryOptions};
 use td_stream::BernoulliStream;
 use td_wbmh::Wbmh;
 
@@ -124,7 +130,17 @@ fn main() {
     let kernel_rows = kernel_speedups();
     let reorder_rows = reorder_overhead();
     let forward_rows = forward_vs_backward();
-    batched_vs_single(&kernel_rows, &reorder_rows, &forward_rows);
+    let ingest_rows = batched_vs_single();
+    registry_gates();
+    println!(
+        "\nJSON rows of this run (the committed BENCH_throughput.json is refreshed \
+         only by committing them):\n"
+    );
+    print!(
+        "{}",
+        json(&ingest_rows, &kernel_rows, &reorder_rows, &forward_rows)
+    );
+    baseline_gate(&ingest_rows, &forward_rows);
 }
 
 /// ISSUE 8: forward decay vs the backward histograms, refereed per
@@ -466,16 +482,15 @@ fn measure<A: StreamAggregate>(
     (name.to_string(), single_ns, batched_ns)
 }
 
-fn batched_vs_single(
-    kernel_rows: &[(String, f64, f64)],
-    reorder_rows: &[(String, f64, f64, f64)],
-    forward_rows: &[(String, f64, f64, u64)],
-) {
+/// Single-item vs batched ingest of every backend on the bursty
+/// stream, with the conformance oracle's batch path gated against its
+/// single-item path.
+fn batched_vs_single() -> Vec<(String, f64, f64)> {
     let items = bursty_items(1_000_000);
     let exp = Exponential::new(0.001);
     let poly = Polynomial::new(1.0);
 
-    let rows = [
+    let rows = vec![
         measure("exp-counter", &items, || ExpCounter::new(exp)),
         measure("quantized-exp", &items, || {
             QuantizedExpCounter::new(exp, 24)
@@ -492,54 +507,18 @@ fn batched_vs_single(
         }),
     ];
 
-    let host = td_bench::hostinfo::json_fragment();
     let mut sec = Section::new(
         "Single-item vs batched ingest, 1e6-item bursty stream (same-tick bursts)",
         &["backend", "single ns/item", "batched ns/item", "speedup"],
     );
-    let mut json = String::from("{\n  \"ingest\": [\n");
-    for (i, (name, single_ns, batched_ns)) in rows.iter().enumerate() {
-        let speedup = single_ns / batched_ns;
+    for (name, single_ns, batched_ns) in &rows {
         sec.row(&[
             name.clone(),
             format!("{single_ns:.1}"),
             format!("{batched_ns:.1}"),
-            format!("{speedup:.2}x"),
+            format!("{:.2}x", single_ns / batched_ns),
         ]);
-        json.push_str(&format!(
-            "    {{\"backend\": \"{name}\", \"single_ns_per_item\": {single_ns:.2}, \
-             \"batched_ns_per_item\": {batched_ns:.2}, \"speedup\": {speedup:.3}, {host}}}{}\n",
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
     }
-    json.push_str("  ],\n  \"kernels\": [\n");
-    for (i, (name, scalar_ns, batch_ns)) in kernel_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"kernel\": \"{name}\", \"scalar_ns_per_item\": {scalar_ns:.2}, \
-             \"batch_ns_per_item\": {batch_ns:.2}, \"speedup\": {:.3}, {host}}}{}\n",
-            scalar_ns / batch_ns,
-            if i + 1 == kernel_rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"reorder\": [\n");
-    for (i, (name, raw_ns, staged_ns, overhead)) in reorder_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"stage\": \"{name}\", \"raw_batched_ns_per_item\": {raw_ns:.2}, \
-             \"staged_ns_per_item\": {staged_ns:.2}, \"overhead\": {overhead:.3}, {host}}}{}\n",
-            if i + 1 == reorder_rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"forward\": [\n");
-    for (i, (name, single_ns, batched_ns, bits)) in forward_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"backend\": \"{name}\", \"single_ns_per_item\": {single_ns:.2}, \
-             \"batched_ns_per_item\": {batched_ns:.2}, \"speedup\": {:.3}, \
-             \"storage_bits\": {bits}, {host}}}{}\n",
-            single_ns / batched_ns,
-            if i + 1 == forward_rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
     sec.print();
 
     // The oracle's batch path is a reserve-once append — if it ever
@@ -552,42 +531,224 @@ fn batched_vs_single(
         "conformance-oracle batched ingest ({oracle_batched:.1} ns/item) slower than \
          single-item ({oracle_single:.1} ns/item)"
     );
+    rows
+}
 
-    // Regression gate against the committed baseline: batched ingest
-    // must not be >10% worse than the numbers in the repo's
-    // BENCH_throughput.json (the file this run is about to replace).
-    // CI sets TD_BENCH_BASELINE_SLACK to loosen the gate on shared
-    // runners; the committed-baseline refresh is deliberate (rerun and
-    // commit the new file), never silent.
+/// The keyed registry's two gates, on the forward-decay sum a
+/// rate limiter keeps per key:
+///
+/// * **Hot-path ingest stays near raw forward decay.** Batched keyed
+///   ingest (hash lookup + slot-sorted slab walk) on a 100k-key zipf
+///   trace must cost at most 3× raw per-item `ForwardDecaySum::observe`
+///   over the same `(t, f)` stream. The intercept is the per-item rate:
+///   each key is an independent accumulator, so the registry cannot
+///   share one summary's same-timestamp batch amortization across keys.
+/// * **Bytes/key stays inside the slab budget.** Resident bytes per
+///   live key must stay ≤ 256 on a 1M-key uniform trace, which touches
+///   most of the key space.
+///
+/// `TD_REGISTRY_GATE_SLACK` widens both on noisy runners.
+fn registry_gates() {
+    const OPS: usize = 2_000_000;
+    const BYTES_BUDGET: f64 = 256.0;
+
+    // Warm-up: the first timed region otherwise pays one-time costs
+    // (allocator pool faults, CPU frequency ramp) that inflate the
+    // gated row by ~70% relative to an identical later run.
+    std::hint::black_box(keyed_ingest(
+        &keyed_trace(100_000, Dist::Zipf, 1_000_000),
+        100_000,
+    ));
+
+    let zipf = keyed_trace(100_000, Dist::Zipf, OPS);
+    let (keyed_ns, _) = keyed_ingest(&zipf, 100_000);
+    let raw_ns = raw_observe_ns(&zipf);
+    let uniform = keyed_trace(1_000_000, Dist::Uniform, OPS);
+    let (_, bytes_per_key) = keyed_ingest(&uniform, 1_000_000);
+
+    let slack: f64 = std::env::var("TD_REGISTRY_GATE_SLACK")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1.0);
+    let ratio = keyed_ns / raw_ns;
+    println!(
+        "\nhot-path gate: keyed {keyed_ns:.1} ns/op vs raw forward observe {raw_ns:.1} \
+         ns/item => {ratio:.2}x (limit 3.0x, slack {slack:.2})"
+    );
+    println!(
+        "bytes/key gate: {bytes_per_key:.0} bytes/key at 1000000 uniform keys \
+         (budget {BYTES_BUDGET:.0}, slack {slack:.2})"
+    );
+    assert!(
+        ratio <= 3.0 * slack,
+        "keyed ingest {keyed_ns:.1} ns/op exceeds 3x raw forward decay {raw_ns:.1} ns/item \
+         (ratio {ratio:.2}; set TD_REGISTRY_GATE_SLACK to widen)"
+    );
+    assert!(
+        bytes_per_key <= BYTES_BUDGET * slack,
+        "{bytes_per_key:.0} resident bytes/key exceeds the {BYTES_BUDGET:.0} budget \
+         (set TD_REGISTRY_GATE_SLACK to widen)"
+    );
+    println!("\nregistry gates passed (slack {slack:.2})");
+}
+
+/// Key traffic shape of a keyed trace.
+#[derive(Clone, Copy)]
+enum Dist {
+    /// Rank drawn log-uniformly: P(rank r) ∝ 1/r — the classic zipf
+    /// head (a few keys take most traffic) with a long resident tail.
+    Zipf,
+    Uniform,
+}
+
+/// Items per keyed batch; each batch is one tick later than the last.
+const KEYED_BATCH: usize = 512;
+
+/// Pre-generated keyed trace: `ops` observations in time-constant
+/// batches, keys drawn from `dist` over `n_keys`, so the timed loop
+/// measures ingest alone.
+fn keyed_trace(n_keys: u64, dist: Dist, ops: usize) -> Vec<(u64, Time, u64)> {
+    let mut x = (0xE15 ^ n_keys) | 1;
+    let ln_n = (n_keys as f64).ln();
+    let mut items = Vec::with_capacity(ops);
+    let mut t = 1u64;
+    for i in 0..ops {
+        if i % KEYED_BATCH == 0 {
+            t += 1;
+        }
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let key = match dist {
+            Dist::Uniform => x % n_keys,
+            Dist::Zipf => {
+                let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+                ((u * ln_n).exp() as u64).min(n_keys - 1)
+            }
+        };
+        items.push((key, t, x % 100 + 1));
+    }
+    items
+}
+
+fn keyed_backend() -> ForwardDecaySum<Exponential> {
+    ForwardDecaySum::new(Exponential::new(0.01))
+}
+
+/// Ingests `trace` through the batched keyed hot path of a registry
+/// sized for `n_keys` (no eviction): `(ns/op, resident bytes per live
+/// key)`.
+fn keyed_ingest(trace: &[(u64, Time, u64)], n_keys: u64) -> (f64, f64) {
+    let mut reg = KeyedRegistry::new(
+        RegistryOptions {
+            expected_keys: n_keys as usize,
+            eviction_threshold: 0.0,
+            sweep_per_ingest: 8,
+            ..RegistryOptions::default()
+        },
+        keyed_backend,
+    );
+    let t0 = Instant::now();
+    for chunk in trace.chunks(KEYED_BATCH) {
+        reg.observe_keyed_batch(chunk);
+    }
+    let ns = t0.elapsed().as_nanos() as f64 / trace.len() as f64;
+    let stats = reg.stats();
+    std::hint::black_box(reg.query_key(trace[0].0, trace[trace.len() - 1].1 + 1));
+    let bytes_per_key = stats.resident_bytes as f64 / stats.live_keys.max(1) as f64;
+    (ns, bytes_per_key)
+}
+
+/// One forward-decay summary over the same `(t, f)` stream, one
+/// `observe` per item: the intercept of the keyed hot-path gate.
+fn raw_observe_ns(trace: &[(u64, Time, u64)]) -> f64 {
+    let mut raw = keyed_backend();
+    let t0 = Instant::now();
+    for &(_, t, f) in trace {
+        raw.observe(t, f);
+    }
+    let ns = t0.elapsed().as_nanos() as f64 / trace.len() as f64;
+    std::hint::black_box(raw.query(trace[trace.len() - 1].1 + 1));
+    ns
+}
+
+/// The `BENCH_throughput.json` document of this run, host-stamped.
+fn json(
+    ingest_rows: &[(String, f64, f64)],
+    kernel_rows: &[(String, f64, f64)],
+    reorder_rows: &[(String, f64, f64, f64)],
+    forward_rows: &[(String, f64, f64, u64)],
+) -> String {
+    let host = td_bench::hostinfo::json_fragment();
+    let sep = |i: usize, n: usize| if i + 1 == n { "" } else { "," };
+    let mut json = String::from("{\n  \"ingest\": [\n");
+    for (i, (name, single_ns, batched_ns)) in ingest_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"backend\": \"{name}\", \"single_ns_per_item\": {single_ns:.2}, \
+             \"batched_ns_per_item\": {batched_ns:.2}, \"speedup\": {:.3}, {host}}}{}\n",
+            single_ns / batched_ns,
+            sep(i, ingest_rows.len())
+        ));
+    }
+    json.push_str("  ],\n  \"kernels\": [\n");
+    for (i, (name, scalar_ns, batch_ns)) in kernel_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"kernel\": \"{name}\", \"scalar_ns_per_item\": {scalar_ns:.2}, \
+             \"batch_ns_per_item\": {batch_ns:.2}, \"speedup\": {:.3}, {host}}}{}\n",
+            scalar_ns / batch_ns,
+            sep(i, kernel_rows.len())
+        ));
+    }
+    json.push_str("  ],\n  \"reorder\": [\n");
+    for (i, (name, raw_ns, staged_ns, overhead)) in reorder_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"stage\": \"{name}\", \"raw_batched_ns_per_item\": {raw_ns:.2}, \
+             \"staged_ns_per_item\": {staged_ns:.2}, \"overhead\": {overhead:.3}, {host}}}{}\n",
+            sep(i, reorder_rows.len())
+        ));
+    }
+    json.push_str("  ],\n  \"forward\": [\n");
+    for (i, (name, single_ns, batched_ns, bits)) in forward_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"backend\": \"{name}\", \"single_ns_per_item\": {single_ns:.2}, \
+             \"batched_ns_per_item\": {batched_ns:.2}, \"speedup\": {:.3}, \
+             \"storage_bits\": {bits}, {host}}}{}\n",
+            single_ns / batched_ns,
+            sep(i, forward_rows.len())
+        ));
+    }
+    json.push_str("  ]\n}\n");
+    json
+}
+
+/// Regression gate against the committed baseline: batched ingest must
+/// not be >10% worse than the numbers in the repo's
+/// `BENCH_throughput.json`, read from the working directory. CI sets
+/// `TD_BENCH_BASELINE_SLACK` to loosen the gate on shared runners.
+/// This run never writes the file: a refresh is a deliberate commit of
+/// the JSON rows printed above.
+fn baseline_gate(ingest_rows: &[(String, f64, f64)], forward_rows: &[(String, f64, f64, u64)]) {
     let path = "BENCH_throughput.json";
     let slack: f64 = std::env::var("TD_BENCH_BASELINE_SLACK")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1.10);
-    if let Ok(baseline) = std::fs::read_to_string(path) {
-        for (name, _, batched_ns) in &rows {
-            if let Some(base) = baseline_batched_ns(&baseline, name) {
-                assert!(
-                    *batched_ns <= base * slack,
-                    "{name} batched ingest regressed: {batched_ns:.2} ns/item vs committed \
-                     baseline {base:.2} (slack {slack:.2}; set TD_BENCH_BASELINE_SLACK to widen)"
-                );
-            }
-        }
-        for (name, _, batched_ns, _) in forward_rows {
-            if let Some(base) = baseline_batched_ns(&baseline, name) {
-                assert!(
-                    *batched_ns <= base * slack,
-                    "{name} batched ingest regressed: {batched_ns:.2} ns/item vs committed \
-                     baseline {base:.2} (slack {slack:.2}; set TD_BENCH_BASELINE_SLACK to widen)"
-                );
-            }
-        }
-        println!("\nbaseline check passed (slack {slack:.2})");
-    } else {
+    let Ok(baseline) = std::fs::read_to_string(path) else {
         println!("\nno committed baseline found; skipping regression gate");
+        return;
+    };
+    let batched = ingest_rows
+        .iter()
+        .map(|(name, _, ns)| (name, ns))
+        .chain(forward_rows.iter().map(|(name, _, ns, _)| (name, ns)));
+    for (name, batched_ns) in batched {
+        if let Some(base) = baseline_batched_ns(&baseline, name) {
+            assert!(
+                *batched_ns <= base * slack,
+                "{name} batched ingest regressed: {batched_ns:.2} ns/item vs committed \
+                 baseline {base:.2} (slack {slack:.2}; set TD_BENCH_BASELINE_SLACK to widen)"
+            );
+        }
     }
-
-    std::fs::write(path, &json).expect("write BENCH_throughput.json");
-    println!("wrote {path}");
+    println!("\nbaseline check passed (slack {slack:.2})");
 }

@@ -1,13 +1,11 @@
 //! Host identification stamped into every benchmark JSON row.
 //!
 //! Throughput numbers are meaningless without the machine they were
-//! measured on: the multi-core scaling rows of `e13_shard_scaling` in
-//! particular invert their interpretation between a 1-core container
-//! (shards time-slice one CPU; rows measure coordination overhead) and
-//! a real multi-core host (rows measure speedup). Rather than relying
-//! on a header field readers may drop when they copy single rows
-//! around, every row carries the `host_parallelism` and CPU model it
-//! was measured under.
+//! measured on: the committed `BENCH_throughput.json` baseline gates
+//! runs on whatever host reads it, and a row copied out of the file
+//! must still say where it came from. Rather than relying on a header
+//! field readers may drop when they copy single rows around, every row
+//! carries the `host_parallelism` and CPU model it was measured under.
 
 /// The number of hardware threads the benchmark process may use
 /// (`std::thread::available_parallelism`, so cgroup/affinity limits are

@@ -413,7 +413,7 @@ impl BucketColumns {
 
     /// Removes the oldest bucket (amortized O(1): bumps the head
     /// offset, compacting only when the dead prefix has grown past
-    /// [`COMPACT_MIN_HEAD`] and half the physical length).
+    /// `COMPACT_MIN_HEAD` and half the physical length).
     pub fn pop_front(&mut self) -> Option<(Time, Time, u64)> {
         if self.is_empty() {
             return None;

@@ -315,8 +315,8 @@ impl WindowSketch for DominationEh {
 
     /// Ingests a sorted burst, bit-identical in end state to the
     /// sequential loop: clock advance and expiry run once per distinct
-    /// tick; the run's first non-zero item replays
-    /// [`add_mass`](Self::add_mass) (so the amortized merge pass fires
+    /// tick; the run's first non-zero item replays the single-item
+    /// `add_mass` step (so the amortized merge pass fires
     /// exactly when the sequential loop's would, seeing the same back-
     /// bucket count); the run's remaining mass folds straight into the
     /// back bucket, which is the only effect the sequential loop's later

@@ -365,6 +365,29 @@ mod tests {
     }
 
     #[test]
+    fn flushed_crash_without_checkpoints_replays_every_record() {
+        let mem = MemStorage::new();
+        let opts = DurabilityOptions {
+            store: StoreOptions {
+                sync: crate::store::SyncPolicy::EveryN(1024),
+                ..StoreOptions::default()
+            },
+            checkpoint_every_records: u64::MAX,
+        };
+        let (mut durable, _) = opens(&mem, opts);
+        for i in 0..300u64 {
+            durable.observe(i / 3, i % 5 + 1).unwrap();
+        }
+        durable.flush().unwrap();
+
+        let (recovered, stats) = opens(&mem.crashed(), opts);
+        assert_eq!(stats.checkpoints_restored, 0);
+        assert_eq!(stats.records_replayed, 300, "the full tail replays");
+        assert_eq!(stats.entries_applied, 300);
+        assert_eq!(recovered.query(200).to_bits(), durable.query(200).to_bits());
+    }
+
+    #[test]
     fn two_recoveries_from_the_same_bytes_are_bit_identical() {
         let mem = MemStorage::new();
         let opts = DurabilityOptions::default();

@@ -305,8 +305,10 @@ fn decode_manifest(bytes: &[u8]) -> Result<Vec<u64>, RestoreError> {
 }
 
 /// Read-side recovery over any [`Storage`]: parses segments, resolves
-/// the newest valid checkpoint per shard, and runs the gap check.
-/// Pure — never writes, so it can run against damaged test doubles.
+/// the newest valid checkpoint per shard, and runs the gap check. A
+/// WAL record, checkpoint file or manifest for a shard at or past
+/// `shard_count` is a typed [`RestoreError::Invariant`]. Pure — never
+/// writes, so it can run against damaged test doubles.
 pub fn recover(storage: &dyn Storage, shard_count: u32) -> Result<Recovered, RestoreError> {
     let names = storage.list().map_err(RestoreError::from)?;
 
@@ -333,6 +335,13 @@ pub fn recover(storage: &dyn Storage, shard_count: u32) -> Result<Recovered, Res
                 });
             }
             crash_tail = Some((idx, offset));
+        }
+        if let Some(r) = read.records.iter().find(|r| r.shard >= shard_count) {
+            return Err(RestoreError::Invariant(format!(
+                "WAL record {} is for shard {} but the store was opened with \
+                 {shard_count} shards",
+                r.seq, r.shard
+            )));
         }
         let max_seq = read.records.last().map_or(0, |r| r.seq);
         segments.push((idx, max_seq, read.intact_len));
@@ -599,10 +608,10 @@ impl DurableStore {
         }
         for rec in &recovered.records {
             let i = rec.shard as usize;
-            // Records of shards past `shard_count` have no backend.
-            let Some(p) = progress.get_mut(i).filter(|p| rec.seq > p.covered_seq) else {
+            let p = &mut progress[i];
+            if rec.seq <= p.covered_seq {
                 continue;
-            };
+            }
             replay(&mut shards[i], rec)?;
             let max_tick = rec.entries.iter().map(WalEntry::time).max();
             p.advance(rec.seq, rec.entries.len() as u64, max_tick);
@@ -947,6 +956,30 @@ mod tests {
         let mut store = open(&dead, StoreOptions::default(), 1);
         let seq = store.append_record(0, [obs(3, 3)]).unwrap();
         assert_eq!(seq, 3);
+    }
+
+    #[test]
+    fn records_of_shards_past_the_opened_count_are_refused() {
+        // Nine records round-robin over three shards, no checkpoint (so
+        // no manifest or checkpoint file names the count either).
+        let mem = MemStorage::new();
+        let mut store = open(&mem, StoreOptions::default(), 3);
+        for i in 0..9u64 {
+            store.append_record((i % 3) as u32, [obs(i, 1)]).unwrap();
+        }
+        drop(store);
+
+        let dead = mem.crashed();
+        let want = RestoreError::Invariant(
+            "WAL record 2 is for shard 1 but the store was opened with 1 shards".into(),
+        );
+        assert_eq!(recover(&dead, 1).err(), Some(want.clone()));
+        assert_eq!(
+            open_exact(&dead, StoreOptions::default(), 1).err(),
+            Some(want)
+        );
+        let (_, _, report) = open_exact(&dead, StoreOptions::default(), 3).unwrap();
+        assert_eq!(report.records_replayed, 9);
     }
 
     #[test]

@@ -24,11 +24,13 @@
 //! small values costs about 3 bytes an entry. The walk is safe because
 //! the record checksum is verified before any entry byte is
 //! interpreted, and it refuses a varint that runs past the payload,
-//! past 10 bytes, or past 64 bits. One record corresponds to one ingest
-//! *call* — a single `observe`/`advance` is a 1-entry record, an
-//! `observe_batch` an n-entry record — so replay reproduces the exact
-//! call pattern and recovered state is bit-identical to the
-//! never-crashed twin.
+//! past 10 bytes, or past 64 bits. A record is one unit of the logging
+//! engine's call shape. For `DurableAggregate` it is one ingest *call*
+//! — a single `observe`/`advance` is a 1-entry record, an
+//! `observe_batch` an n-entry record. For the sharded engine it is one
+//! chunk a shard worker drained from its ring, replayed as that worker
+//! applied it. Either way replay reproduces the exact call pattern, and
+//! recovered state is bit-identical to the never-crashed twin.
 //!
 //! A version-1 record (magic `TDWL`: FNV-1a checksum, fixed-width
 //! entries) is refused with [`RestoreError::Version`]`(1)`; it is never

@@ -1400,15 +1400,14 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
 
     /// The one query path: barrier (bounded by `deadline`; `wedged`
     /// shards count as dead), then the healthy epoch-cached summary or
-    /// a fold of live snapshots and dead shards' checkpoints (always
-    /// when `fresh`) with the mass at risk as missing weight (DESIGN.md
-    /// §9, "Envelopes"), then the `last_bound` update. `Err(i)`: shard
-    /// `i` missed the deadline. `t = None` asks for the envelope alone:
-    /// a NaN-valued answer when healthy, `Ok(None)` when degraded.
+    /// a fold of live snapshots and dead shards' checkpoints with the
+    /// mass at risk as missing weight (DESIGN.md §9, "Envelopes"), then
+    /// the `last_bound` update. `Err(i)`: shard `i` missed the deadline.
+    /// `t = None` asks for the envelope alone: a NaN-valued answer when
+    /// healthy, `Ok(None)` when degraded.
     fn serve(
         &self,
         t: Option<Time>,
-        fresh: bool,
         deadline: Option<Instant>,
         wedged: &[usize],
     ) -> Result<Option<Answer>, usize> {
@@ -1433,7 +1432,7 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
                 complete_up_to: self.complete_up_to(),
             }
         };
-        if healthy && !fresh {
+        if healthy {
             let mut cache = self.refreshed_cache();
             let ans = answer(cache.merged.as_ref().expect("refreshed_cache builds it"), 0);
             cache.last_bound = Some(ans.bound);
@@ -1457,21 +1456,10 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
     /// via the trait-level [`StreamAggregate::query`].
     pub fn try_query(&self, t: Time) -> Result<Answer, QueryError> {
         let deadline = Instant::now() + self.barrier_deadline;
-        match self.serve(Some(t), false, Some(deadline), &[]) {
+        match self.serve(Some(t), Some(deadline), &[]) {
             Ok(ans) => Ok(ans.expect("a query tick always answers")),
             Err(shard) => Err(QueryError::Wedged { shard }),
         }
-    }
-
-    /// The query path with the epoch cache bypassed: barrier, snapshot,
-    /// advance, and merge on *every* call. This is what every query
-    /// would cost without the cache; the e13 experiment measures the
-    /// two side by side.
-    pub fn query_uncached(&self, t: Time) -> f64 {
-        self.serve(Some(t), true, None, &[])
-            .expect("no deadline, cannot wedge")
-            .expect("a query tick always answers")
-            .value
     }
 
     /// Shuts the workers down (each drains its ring to empty first),
@@ -1603,7 +1591,7 @@ impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAgg
         let mut wedged: Vec<usize> = Vec::new();
         loop {
             let deadline = Instant::now() + self.barrier_deadline;
-            match self.serve(Some(t), false, Some(deadline), &wedged) {
+            match self.serve(Some(t), Some(deadline), &wedged) {
                 Ok(ans) => return ans.expect("a query tick always answers").value,
                 Err(shard) => wedged.push(shard),
             }
@@ -1662,7 +1650,7 @@ impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAgg
     /// first; with no answer to stand on the envelope is unbounded.
     fn error_bound(&self) -> ErrorBound {
         let deadline = Instant::now() + self.barrier_deadline;
-        match self.serve(None, false, Some(deadline), &[]) {
+        match self.serve(None, Some(deadline), &[]) {
             Ok(Some(ans)) => ans.bound,
             _ => self
                 .cache
@@ -2442,13 +2430,13 @@ mod tests {
         }
     }
 
-    /// Counts `save_checkpoint` calls across all clones, optionally
-    /// flipping one bit in every saved envelope.
+    /// Counts `save_checkpoint` calls across all clones, flipping one
+    /// bit in the envelope of the `flip_at`-th save (0: never).
     #[derive(Clone, Debug)]
     struct CountSaves<B> {
         inner: B,
         saves: Arc<AtomicU64>,
-        flip: bool,
+        flip_at: u64,
     }
 
     impl<B: StorageAccounting> StorageAccounting for CountSaves<B> {
@@ -2483,9 +2471,9 @@ mod tests {
 
     impl<B: Checkpoint> Checkpoint for CountSaves<B> {
         fn save_checkpoint(&self) -> Vec<u8> {
-            self.saves.fetch_add(1, Ordering::SeqCst);
+            let n = self.saves.fetch_add(1, Ordering::SeqCst) + 1;
             let mut bytes = self.inner.save_checkpoint();
-            if self.flip {
+            if n == self.flip_at {
                 let mid = bytes.len() / 2;
                 bytes[mid] ^= 0x10;
             }
@@ -2496,12 +2484,12 @@ mod tests {
         }
     }
 
-    /// A `make` closure over counted (and, with `flip`, corrupting)
-    /// exact counters that panic on the `fire_at`-th batch (0: never).
+    /// A `make` closure over counted exact counters that corrupt their
+    /// `flip_at`-th save and panic on the `fire_at`-th batch (0: never).
     fn counted(
         saves: &Arc<AtomicU64>,
         fire_at: u64,
-        flip: bool,
+        flip_at: u64,
     ) -> impl Fn() -> PanicOnNth<CountSaves<ExactDecayedSum<Constant>>> {
         let saves = Arc::clone(saves);
         let calls = Arc::new(AtomicU64::new(0));
@@ -2509,7 +2497,7 @@ mod tests {
             let inner = CountSaves {
                 inner: ExactDecayedSum::new(Constant),
                 saves: Arc::clone(&saves),
-                flip,
+                flip_at,
             };
             PanicOnNth::wrap(inner, Arc::clone(&calls), fire_at)
         }
@@ -2524,11 +2512,8 @@ mod tests {
         // Healthy supervised ingest and queries encode nothing: the
         // restart point is a typed copy.
         let saves = Arc::new(AtomicU64::new(0));
-        let mut s = ShardedAggregate::supervised(
-            2,
-            SupervisorOptions::default(),
-            counted(&saves, 0, false),
-        );
+        let mut s =
+            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 0, 0));
         for chunk in items.chunks(64) {
             s.observe_batch(chunk);
         }
@@ -2542,11 +2527,8 @@ mod tests {
         // A restart encodes the snapshot once, restores through the
         // checksum, and still heals losslessly.
         let saves = Arc::new(AtomicU64::new(0));
-        let mut s = ShardedAggregate::supervised(
-            2,
-            SupervisorOptions::default(),
-            counted(&saves, 5, false),
-        );
+        let mut s =
+            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 5, 0));
         for chunk in items.chunks(64) {
             s.observe_batch(chunk);
         }
@@ -2564,7 +2546,7 @@ mod tests {
         // the shard quarantines instead of restoring garbage.
         let saves = Arc::new(AtomicU64::new(0));
         let mut s =
-            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 5, true));
+            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 5, 1));
         for chunk in items.chunks(64) {
             s.observe_batch(chunk);
         }
@@ -2591,15 +2573,47 @@ mod tests {
             ..SupervisorOptions::default()
         };
         let durability = DurabilityConfig::new(Box::new(MemStorage::new()));
-        let (mut eng, _) =
-            ShardedAggregate::durable(1, opts, durability, counted(&saves, 0, false))
-                .expect("fresh store");
+        let (mut eng, _) = ShardedAggregate::durable(1, opts, durability, counted(&saves, 0, 0))
+            .expect("fresh store");
         // A barrier after each observe makes every item its own chunk.
         for t in 1..=12u64 {
             eng.observe(t, 1);
             assert_eq!(eng.query(t + 1), t as f64);
         }
         assert_eq!(saves.load(Ordering::SeqCst), 3, "12 chunks at cadence 4");
+    }
+
+    #[test]
+    fn durable_restart_falls_back_to_the_disk_checkpoint() {
+        // Cadence 1 and a barrier after each observe: item k is chunk
+        // k, and its durable checkpoint is save k. The 6th batch panics;
+        // the restart encodes the in-memory restart point as save 6,
+        // which is corrupted, so the restore must come from disk (save
+        // 5, written at the same cadence point).
+        let saves = Arc::new(AtomicU64::new(0));
+        let opts = SupervisorOptions {
+            checkpoint_every_chunks: 1,
+            ..SupervisorOptions::default()
+        };
+        let durability = DurabilityConfig::new(Box::new(MemStorage::new()));
+        let (mut eng, _) = ShardedAggregate::durable(1, opts, durability, counted(&saves, 6, 6))
+            .expect("fresh store");
+        for t in 1..=10u64 {
+            eng.observe(t, 1);
+            assert_eq!(eng.query(t + 1), t as f64);
+        }
+        let st = &eng.shard_stats()[0];
+        assert_eq!(st.health, ShardHealth::Live);
+        assert_eq!(st.restarts, 1);
+        assert_eq!(st.lost_mass, 0);
+        assert!(
+            st.last_panic
+                .as_deref()
+                .is_some_and(|p| p.contains("in-memory checkpoint corrupt")
+                    && p.contains("restored from disk")),
+            "the restart must name the disk restore: {:?}",
+            st.last_panic
+        );
     }
 
     #[test]
