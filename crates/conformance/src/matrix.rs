@@ -23,7 +23,7 @@ use td_forward::{ForwardDecaySum, DEFAULT_MAX_TIME};
 use td_persist::{DurabilityOptions, DurableAggregate, StoreOptions, SyncPolicy};
 use td_registry::{KeyedRegistry, RegistryOptions};
 use td_reorder::LatenessPolicy;
-use td_shard::ShardedAggregate;
+use td_shard::{ShardedAggregate, SupervisorOptions};
 use td_wbmh::Wbmh;
 
 use crate::adapters::{
@@ -745,11 +745,12 @@ fn auto<G: DecayFunction + Copy + Send + Sync + 'static>(g: G) -> DynAggregate {
     )
 }
 
-fn sharded<G: Copy + Send + 'static, B: StreamAggregate + Clone + Send + 'static>(
+fn sharded<G: Copy + Send + 'static, B: StreamAggregate + Checkpoint + Clone + Send + 'static>(
     g: G,
     make: fn(G) -> B,
 ) -> DynAggregate {
-    Box::new(ShardedAggregate::new(3, move || make(g)))
+    let opts = SupervisorOptions::default();
+    Box::new(ShardedAggregate::supervised(3, opts, move || make(g)))
 }
 
 /// An in-order row: backend and backward oracle over the same decay.
@@ -1149,13 +1150,13 @@ pub fn stacked_cases() -> Vec<Case> {
     ]
 }
 
-/// A WBMH whose heaviest bucket (by decayed share at the probe) is
-/// multiplied fifty-fold before its first answer.
-struct CorruptBucket(std::cell::RefCell<Wbmh<Polynomial>>);
+/// A WBMH that answers as if its heaviest bucket (by decayed share at
+/// the probe) held fifty times its count.
+struct CorruptBucket(Wbmh<Polynomial>);
 
 impl Sut for CorruptBucket {
     fn ingest(&mut self, ev: &Event) -> Result<bool, String> {
-        let w = self.0.get_mut();
+        let w = &mut self.0;
         match ev {
             Event::Observe(t, f) => w.observe(*t, *f),
             Event::Batch(items) => w.observe_batch(items),
@@ -1165,17 +1166,23 @@ impl Sut for CorruptBucket {
         Ok(true)
     }
     fn query(&self, t: Time) -> Result<Answer, String> {
-        let mut snap = self.0.borrow().snapshot();
-        let share = |i: usize| {
-            let (_, _, _, last_item, count, _) = snap.buckets[i];
-            count * poly(1.0).weight(t.saturating_sub(last_item).max(1))
-        };
-        let victim = (0..snap.buckets.len())
-            .max_by(|&a, &b| share(a).total_cmp(&share(b)))
+        // A bucket's term in the answer is its count times the weight
+        // at its newest item, so 49 more copies of the heaviest term
+        // make the corrupt answer.
+        let snap = self.0.snapshot();
+        let heaviest = snap
+            .buckets
+            .iter()
+            .map(|&(_, _, _, last_item, count, _)| {
+                count * poly(1.0).weight(t.saturating_sub(last_item).max(1))
+            })
+            .max_by(f64::total_cmp)
             .ok_or("no bucket to corrupt")?;
-        snap.buckets[victim].4 *= 50.0;
-        let w = Wbmh::restore(poly(1.0), 0.1, 1 << 30, None, &snap);
-        Ok(Answer::of(w.query(t), StreamAggregate::error_bound(&w)))
+        let w = &self.0;
+        Ok(Answer::of(
+            w.query(t) + 49.0 * heaviest,
+            StreamAggregate::error_bound(w),
+        ))
     }
 }
 
@@ -1241,7 +1248,7 @@ pub fn canaries() -> Vec<Case> {
             Suite::Canary,
             "wbmh-corrupt-bucket",
             backward(poly(1.0)),
-            Case::fresh(|_| Box::new(CorruptBucket(Wbmh::new(poly(1.0), 0.1, 1 << 30).into()))),
+            Case::fresh(|_| Box::new(CorruptBucket(Wbmh::new(poly(1.0), 0.1, 1 << 30)))),
         )
         .with_probes_only(vec![Probe::After(1)]),
         Case {

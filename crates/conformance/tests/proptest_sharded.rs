@@ -21,6 +21,7 @@ use proptest::prelude::*;
 use td_ceh::CascadedEh;
 use td_conformance::{catalogue, FaultInjector, FaultMode, FaultPlan, Op, Oracle, Scenario};
 use td_counters::{ExactDecayedSum, ExpCounter};
+use td_decay::checkpoint::Checkpoint;
 use td_decay::{DecayFunction, ErrorBound, Exponential, Polynomial, StreamAggregate, Time};
 use td_shard::{ShardHealth, ShardedAggregate, SupervisorOptions};
 use td_wbmh::Wbmh;
@@ -74,9 +75,9 @@ fn check_scenario<B>(
     scenario: &Scenario,
     label: &str,
 ) where
-    B: StreamAggregate + Clone + Send + 'static,
+    B: StreamAggregate + Checkpoint + Clone + Send + 'static,
 {
-    let mut sharded = ShardedAggregate::new(k, make);
+    let mut sharded = ShardedAggregate::supervised(k, SupervisorOptions::default(), make);
     let mut single = make();
     let mut oracle = Oracle::new(oracle_decay);
     for op in &scenario.ops {
@@ -168,9 +169,11 @@ proptest! {
         k in 2usize..5,
         batches in collection::vec((1u64..50, 1u64..9), 1..20),
     ) {
-        let mut engine = ShardedAggregate::with_options(
+        // Tiny ring: teardown happens with items still queued.
+        let opts = SupervisorOptions { ring_capacity: 64, ..SupervisorOptions::default() };
+        let mut engine = ShardedAggregate::supervised(
             k,
-            64, // tiny ring: teardown happens with items still queued
+            opts,
             || ExactDecayedSum::new(td_decay::Constant),
         );
         let mut expected = 0u64;
@@ -232,7 +235,11 @@ proptest! {
             SupervisorOptions::default(),
             injector.factory(|| ExpCounter::new(Exponential::new(0.01))),
         );
-        let mut clean = ShardedAggregate::new(k, || ExpCounter::new(Exponential::new(0.01)));
+        let mut clean = ShardedAggregate::supervised(
+            k,
+            SupervisorOptions::default(),
+            || ExpCounter::new(Exponential::new(0.01)),
+        );
 
         for op in &scenario.ops {
             match op {

@@ -85,9 +85,9 @@ impl ApproxCount {
         Self::exact(0, epsilon)
     }
 
-    /// Reassembles a count from snapshot parts (see
-    /// `td-wbmh::WbmhSnapshot`). The value is trusted to be a previously
-    /// rounded output of this ladder at the given depth.
+    /// Reassembles a count from its stored parts (as `td-wbmh` keeps
+    /// them in its columns and checkpoints). The value is trusted to be
+    /// a previously rounded output of this ladder at the given depth.
     ///
     /// # Panics
     ///

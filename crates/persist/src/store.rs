@@ -788,7 +788,7 @@ impl DurableStore {
 
     /// Flattened ingest entries `shard`'s state reflects: its
     /// checkpoint's count plus every entry logged since.
-    pub(crate) fn entries_applied(&self, shard: u32) -> u64 {
+    pub fn entries_applied(&self, shard: u32) -> u64 {
         self.progress[shard as usize].entries_applied
     }
 

@@ -37,38 +37,40 @@
 //!
 //! # Fault tolerance
 //!
-//! Each worker applies every chunk under `catch_unwind`, **inside** its
-//! backend mutex guard so a panic never poisons the lock. In
-//! [supervised](ShardedAggregate::supervised) mode the worker keeps a
-//! restart point on a configurable cadence: a typed copy of its
-//! backend, refreshed with `clone_from`, not serialised bytes. Bytes
-//! exist only where they are consumed: a restart and the degraded fold
-//! encode the copy with the [`Checkpoint`] trait's versioned,
-//! checksummed encoding and restore from those bytes (so the checksum
-//! guards every restore), and [durable](ShardedAggregate::durable)
-//! engines encode once per cadence for disk. A durable engine's
-//! replay bookkeeping lives in the shared `td_persist::DurableStore`,
-//! and it recovers through that store's one restore-and-replay loop,
-//! replaying each WAL record as one drained chunk. On a panic the worker
-//! restores the restart point in place, replays the failed chunk, and
-//! carries on — a deterministic "poison pill" chunk that panics again
-//! on replay is skipped with its mass accounted as lost.
-//! When recovery is impossible (no checkpoint capability, restarts
-//! exhausted, or the checkpoint itself fails restore — e.g. corruption
-//! detected by its checksum) the shard is **quarantined**: its worker
-//! exits, subsequent pushes to it are rerouted to live shards, and its
-//! partial state is never folded into an answer again.
+//! Every engine is supervised: [`supervised`](ShardedAggregate::supervised)
+//! and [`durable`](ShardedAggregate::durable) both take a [`Checkpoint`]
+//! backend. Each worker applies every chunk under `catch_unwind`,
+//! **inside** its backend mutex guard so a panic never poisons the
+//! lock, and keeps a restart point on a configurable cadence: a typed
+//! copy of its backend, refreshed with `clone_from`. A restart, the
+//! skip of a poison-pill chunk and the degraded fold of a dead shard
+//! all restore it through one function, which encodes the copy with
+//! the trait's checksummed encoding and restores from those bytes, so
+//! the checksum guards every restore; a durable engine falls back to
+//! the shard's on-disk checkpoint only when it holds the same state.
+//! Durable engines also encode once per cadence for disk, and recover
+//! through `td_persist::DurableStore`'s one restore-and-replay loop,
+//! replaying each WAL record as one drained chunk. On a panic the
+//! worker restores the restart point in place, replays the failed
+//! chunk, and carries on — a deterministic "poison pill" chunk that
+//! panics again on replay is skipped with its mass accounted as lost.
+//! When recovery is impossible (restarts exhausted, or the restart
+//! point fails restore — e.g. corruption detected by its checksum) the
+//! shard is **quarantined**: its worker exits, subsequent pushes to it
+//! are rerouted to live shards, and its partial state is never folded
+//! into an answer again.
 //!
 //! Queries keep working throughout. [`try_query`](ShardedAggregate::try_query)
 //! waits at the barrier with a deadline (a wedged shard surfaces as the
 //! typed [`QueryError::Wedged`] instead of a hang); when shards are
 //! quarantined it folds the *live* snapshots plus each dead shard's
-//! last checkpoint, and widens the reported [`ErrorBound`] by the
-//! checkpointed **mass at risk** — every unit of mass that was
-//! submitted but is not covered by any folded state is weight the
-//! answer may be missing (an [`Envelope`] `under` term), so the
-//! answer's self-reported envelope still provably covers the truth.
-//! The same widening covers mass dropped by the
+//! restart point, and widens the reported [`ErrorBound`] by the **mass
+//! at risk** — every unit of mass that was submitted but is not covered
+//! by any folded state is weight the answer may be missing (an
+//! [`Envelope`] `under` term), so the answer's self-reported envelope
+//! still provably covers the truth; a reopened durable shard that loses
+//! its restart point loses history of unknown mass, and the envelope
+//! becomes unbounded. The same widening covers mass dropped by the
 //! [`BackpressurePolicy::DropNewest`] policy and mass lost during
 //! recovery. Degraded answers carry the list of dead shards in
 //! [`Answer::degraded`].
@@ -218,8 +220,7 @@ pub struct ShardStats {
     /// Chunks applied since this shard's last checkpoint — the replay
     /// exposure a panic (or, for durable engines, a process death)
     /// would pay right now. Bounded by
-    /// [`SupervisorOptions::checkpoint_every_chunks`]; always 0 in
-    /// unsupervised engines (nothing checkpoints).
+    /// [`SupervisorOptions::checkpoint_every_chunks`].
     pub checkpoint_age: u64,
     /// WAL records logged but not yet superseded by *every* shard's
     /// on-disk checkpoint — the replay a restart from disk would pay.
@@ -400,8 +401,8 @@ fn slice_mass(msgs: &[Msg]) -> u64 {
 
 /// Checkpoint capability as plain function pointers, so the engine can
 /// store it without a `B: Checkpoint` bound on the struct itself (and
-/// without boxing): the pointers are instantiated once in
-/// [`ShardedAggregate::supervised`].
+/// without boxing): the pointers are instantiated once, where the
+/// engine is built.
 struct CkptFns<B> {
     save: fn(&B) -> Vec<u8>,
     restore: fn(&mut B, &[u8]) -> Result<(), RestoreError>,
@@ -414,34 +415,24 @@ impl<B> Clone for CkptFns<B> {
 }
 impl<B> Copy for CkptFns<B> {}
 
-fn save_ckpt<B: Checkpoint>(b: &B) -> Vec<u8> {
-    b.save_checkpoint()
-}
-fn restore_ckpt<B: Checkpoint>(b: &mut B, bytes: &[u8]) -> Result<(), RestoreError> {
-    b.restore_checkpoint(bytes)
-}
-
-impl<B> CkptFns<B> {
-    /// Restores `target` from a typed `snapshot` through the checkpoint
-    /// encoding, so the checksum guards every restore. Returns the
-    /// encoded bytes for callers that may need to restore again.
-    fn restore_from(&self, target: &mut B, snapshot: &B) -> Result<Vec<u8>, RestoreError> {
-        let bytes = (self.save)(snapshot);
-        (self.restore)(target, &bytes)?;
-        Ok(bytes)
-    }
-}
-
 /// A saved good state of one shard's backend: a typed copy, refreshed
 /// with `clone_from` on the checkpoint cadence. Bytes are only made
-/// from it where bytes are consumed — a restart, a degraded fold.
+/// from it where bytes are consumed — see [`restore_restart_point`].
 struct CkptRecord<B> {
     snapshot: B,
-    /// Cumulative observation mass applied when the checkpoint was
-    /// taken. `submitted_mass − mass` is the shard's mass at risk if it
-    /// dies and must be served from this checkpoint.
+    /// Observation mass applied since the engine was built when the
+    /// restart point was taken. `submitted_mass − mass` is the shard's
+    /// mass at risk if it dies and must be served from this point.
     mass: u64,
+    /// Whether the store's checkpoint of this shard (durable engines)
+    /// holds this same state: set when a cadence save lands, and at
+    /// open when the shard replayed no WAL tail.
+    on_disk: bool,
 }
+
+/// The mass at risk once it is unknown: sums saturate here, and an
+/// answer missing it is unbounded below.
+const UNKNOWN_MASS: u64 = u64::MAX;
 
 /// State shared between the coordinator and one worker.
 struct ShardState<B> {
@@ -469,8 +460,18 @@ struct ShardState<B> {
     /// Chunks applied since the last checkpoint (mirror of the
     /// worker-local counter, published for `shard_stats`).
     ckpt_age: AtomicU64,
-    /// Last good checkpoint (None in unsupervised engines).
-    ckpt: Mutex<Option<CkptRecord<B>>>,
+    /// The restart point: the last good checkpoint.
+    ckpt: Mutex<CkptRecord<B>>,
+    /// Whether the restart point holds history recovered from disk,
+    /// whose mass the store does not keep.
+    recovered: bool,
+    /// Checkpoint capability.
+    ckpt_ops: CkptFns<B>,
+    /// The shared WAL + checkpoint store (durable engines only), which
+    /// keeps this shard's replay bookkeeping.
+    store: Option<Arc<Mutex<DurableStore>>>,
+    /// This shard's index: the WAL and checkpoint shard field.
+    shard: u32,
     /// Most recent panic payload / failure description.
     last_panic: Mutex<Option<String>>,
 }
@@ -479,6 +480,36 @@ impl<B> ShardState<B> {
     fn note_failure(&self, text: String) {
         let mut slot = self.last_panic.lock().expect("panic-note mutex");
         *slot = Some(text);
+    }
+
+    /// The one restore path of the restart point, shared by a restart,
+    /// a poison-pill skip and a dead shard's fold. Restores `target`
+    /// from the typed copy through its checkpoint bytes, so the
+    /// checksum guards it; if those fail, from the on-disk checkpoint,
+    /// but only when that holds the same state. Returns the mass the
+    /// restored state covers.
+    fn restore_restart_point(&self, target: &mut B) -> Result<u64, RestoreError> {
+        let fns = self.ckpt_ops;
+        let rec = self.ckpt.lock().expect("checkpoint mutex");
+        let Err(e) = (fns.restore)(target, &(fns.save)(&rec.snapshot)) else {
+            return Ok(rec.mass);
+        };
+        let twin = match &self.store {
+            Some(store) if rec.on_disk => {
+                let store = store.lock().expect("durable store mutex");
+                store.read_shard_checkpoint(self.shard).ok().flatten()
+            }
+            _ => None,
+        };
+        match twin {
+            Some(ck) if (fns.restore)(target, &ck.envelope).is_ok() => {
+                self.note_failure(format!(
+                    "in-memory checkpoint corrupt ({e}); restored from disk"
+                ));
+                Ok(rec.mass)
+            }
+            _ => Err(e),
+        }
     }
 }
 
@@ -543,8 +574,6 @@ pub struct ShardedAggregate<B> {
     /// when nothing survives, and the source of the per-unit weight cap
     /// that prices missing mass.
     template: B,
-    /// Checkpoint capability (Some only for supervised engines).
-    ckpt_ops: Option<CkptFns<B>>,
     /// Mass at risk inherited from engines folded in by `merge_from`.
     extra_risk: AtomicU64,
     /// The shared WAL + checkpoint store (durable engines only).
@@ -561,14 +590,8 @@ pub struct ShardedAggregate<B> {
 /// Everything a worker needs beyond its ring consumer.
 struct WorkerCtx<B> {
     state: Arc<ShardState<B>>,
-    ckpt_ops: Option<CkptFns<B>>,
     max_restarts: u64,
     checkpoint_every: u64,
-    /// The shared WAL + checkpoint store (durable engines only), which
-    /// keeps this shard's replay bookkeeping.
-    store: Option<Arc<Mutex<DurableStore>>>,
-    /// This worker's shard index: the WAL shard field.
-    shard: u32,
     /// Idle-flush cadence (see [`SupervisorOptions::wal_flush_idle`]).
     wal_flush_idle: Option<Duration>,
 }
@@ -623,11 +646,11 @@ fn apply_chunk<B: StreamAggregate>(backend: &mut B, buf: &[Msg], items: &mut Vec
     items.clear();
 }
 
-/// Panic recovery: restore the last good checkpoint in place and replay
-/// the failed chunk. Returns `true` if the shard is healthy again.
+/// Panic recovery: restore the restart point in place and replay the
+/// failed chunk. Returns `true` if the shard is healthy again.
 ///
 /// `applied_mass` is the worker's running total of applied observation
-/// mass; on success it is rewound to the checkpoint and replayed
+/// mass; on success it is rewound to the restart point and replayed
 /// forward, with any unreplayable difference added to `lost_mass`.
 fn try_recover<B: StreamAggregate + Clone>(
     ctx: &WorkerCtx<B>,
@@ -637,50 +660,28 @@ fn try_recover<B: StreamAggregate + Clone>(
     batch_mass: u64,
     applied_mass: &mut u64,
 ) -> bool {
-    let Some(fns) = ctx.ckpt_ops else {
-        return false;
-    };
     if ctx.state.restarts.load(Ordering::Relaxed) >= ctx.max_restarts {
-        ctx.state
-            .note_failure("restart budget exhausted".to_string());
+        let mut note = ctx.state.last_panic.lock().expect("panic-note mutex");
+        let panic = note.take().unwrap_or_default();
+        *note = Some(format!("{panic} (restart budget exhausted)"));
         return false;
     }
-    let ckpt_guard = ctx.state.ckpt.lock().expect("checkpoint mutex");
-    let Some(rec) = ckpt_guard.as_ref() else {
+    let restore = |backend: &mut B| {
+        let restored = ctx.state.restore_restart_point(backend);
+        restored.map_err(|e| {
+            ctx.state
+                .note_failure(format!("checkpoint restore failed: {e}"))
+        })
+    };
+    let Ok(mass) = restore(backend) else {
         return false;
     };
-    let bytes = match fns.restore_from(backend, &rec.snapshot) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            // The in-memory checkpoint is gone (its checksum caught the
-            // corruption). A durable engine has a second copy: the
-            // on-disk checkpoint written at the same cadence point —
-            // prefer it over quarantining the shard.
-            let from_disk = ctx.store.as_ref().and_then(|store| {
-                let ck = store
-                    .lock()
-                    .expect("durable store mutex")
-                    .read_shard_checkpoint(ctx.shard);
-                let bytes = ck.ok().flatten()?.envelope;
-                (fns.restore)(backend, &bytes).ok().map(|()| bytes)
-            });
-            let Some(bytes) = from_disk else {
-                ctx.state
-                    .note_failure(format!("checkpoint restore failed: {e}"));
-                return false;
-            };
-            ctx.state.note_failure(format!(
-                "in-memory checkpoint corrupt ({e}); restored from disk"
-            ));
-            bytes
-        }
-    };
-    // Mass applied after the checkpoint was taken is gone for good —
+    // Mass applied after the restart point was taken is gone for good —
     // the ring no longer holds those messages. (Zero at the default
     // checkpoint-every-chunk cadence.)
-    let gap = applied_mass.saturating_sub(rec.mass);
+    let gap = applied_mass.saturating_sub(mass);
     ctx.state.lost_mass.fetch_add(gap, Ordering::Release);
-    *applied_mass = rec.mass;
+    *applied_mass = mass;
     // Replay the failed chunk against the restored state.
     match catch_unwind(AssertUnwindSafe(|| apply_chunk(backend, buf, items))) {
         Ok(()) => {
@@ -692,9 +693,7 @@ fn try_recover<B: StreamAggregate + Clone>(
             // too. Skip it (with its mass accounted) rather than
             // crash-looping.
             ctx.state.panics.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = (fns.restore)(backend, &bytes) {
-                ctx.state
-                    .note_failure(format!("checkpoint restore failed: {e}"));
+            if restore(backend).is_err() {
                 return false;
             }
             ctx.state.note_failure(format!(
@@ -737,7 +736,7 @@ fn worker_loop<B: StreamAggregate + Clone>(ctx: WorkerCtx<B>, mut rx: spsc::Cons
                 // after an unsynced append would leave those bytes
                 // exposed indefinitely. Once per cadence, an idle
                 // worker makes any silent-but-dirty WAL tail durable.
-                if let (Some(store), Some(cadence)) = (&ctx.store, ctx.wal_flush_idle) {
+                if let (Some(store), Some(cadence)) = (&ctx.state.store, ctx.wal_flush_idle) {
                     if last_idle_flush.elapsed() >= cadence {
                         let mut store = store.lock().expect("durable store mutex");
                         if store.unsynced_records() > 0 {
@@ -762,11 +761,11 @@ fn worker_loop<B: StreamAggregate + Clone>(ctx: WorkerCtx<B>, mut rx: spsc::Cons
         // are record boundaries, so recovery replays the same
         // `apply_chunk` calls; the chunk is encoded straight from the
         // ring's messages.
-        if let Some(store) = &ctx.store {
+        if let Some(store) = &ctx.state.store {
             let logged = store
                 .lock()
                 .expect("durable store mutex")
-                .append_record(ctx.shard, buf.iter().map(msg_to_entry));
+                .append_record(ctx.state.shard, buf.iter().map(msg_to_entry));
             if let Err(e) = logged {
                 ctx.state.note_failure(format!("WAL append failed: {e}"));
                 ctx.state.lost_mass.fetch_add(batch_mass, Ordering::Release);
@@ -790,44 +789,40 @@ fn worker_loop<B: StreamAggregate + Clone>(ctx: WorkerCtx<B>, mut rx: spsc::Cons
             })) {
                 Ok(()) => {
                     applied_mass = applied_mass.saturating_add(batch_mass);
-                    if let Some(fns) = ctx.ckpt_ops {
-                        chunks_since_ckpt += 1;
-                        ctx.state
-                            .ckpt_age
-                            .store(chunks_since_ckpt, Ordering::Relaxed);
-                        if chunks_since_ckpt >= ctx.checkpoint_every {
-                            // Disk first: the in-memory record is only
-                            // advanced when its on-disk twin landed, so
-                            // the two always describe the same state
-                            // (which is what lets recovery fall back
-                            // from one to the other with shared mass
-                            // bookkeeping). A failed disk write keeps
-                            // the older consistent pair and retries
-                            // next chunk. Only the disk copy is
-                            // encoded; the in-memory one is typed.
-                            let disk_ok = match &ctx.store {
-                                None => true,
-                                Some(store) => {
-                                    let envelope = (fns.save)(&backend);
-                                    let saved = store
-                                        .lock()
-                                        .expect("durable store mutex")
-                                        .save_shard_checkpoint(ctx.shard, &envelope);
-                                    if let Err(e) = &saved {
-                                        ctx.state.note_failure(format!(
-                                            "durable checkpoint failed: {e}"
-                                        ));
-                                    }
-                                    saved.is_ok()
-                                }
-                            };
-                            if disk_ok {
-                                let mut slot = ctx.state.ckpt.lock().expect("checkpoint mutex");
-                                let rec = slot.as_mut().expect("supervised shards are seeded");
+                    chunks_since_ckpt += 1;
+                    ctx.state
+                        .ckpt_age
+                        .store(chunks_since_ckpt, Ordering::Relaxed);
+                    if chunks_since_ckpt >= ctx.checkpoint_every {
+                        // Disk first: the restart point only advances
+                        // once its on-disk twin landed, so a restore can
+                        // fall back from one to the other with shared
+                        // mass bookkeeping. A failed disk write keeps
+                        // the older restart point, which no longer
+                        // claims the disk copy (the write may have half
+                        // landed), and retries next chunk. Only the
+                        // disk copy is encoded; the restart point is
+                        // typed.
+                        let saved = ctx.state.store.as_ref().map_or(Ok(()), |store| {
+                            let envelope = (ctx.state.ckpt_ops.save)(&backend);
+                            store
+                                .lock()
+                                .expect("durable store mutex")
+                                .save_shard_checkpoint(ctx.state.shard, &envelope)
+                        });
+                        let mut rec = ctx.state.ckpt.lock().expect("checkpoint mutex");
+                        match saved {
+                            Ok(()) => {
                                 rec.snapshot.clone_from(&backend);
                                 rec.mass = applied_mass;
+                                rec.on_disk = true;
                                 chunks_since_ckpt = 0;
                                 ctx.state.ckpt_age.store(0, Ordering::Relaxed);
+                            }
+                            Err(e) => {
+                                rec.on_disk = false;
+                                ctx.state
+                                    .note_failure(format!("durable checkpoint failed: {e}"));
                             }
                         }
                     }
@@ -952,11 +947,7 @@ impl<B: StreamAggregate + Checkpoint + Clone + Send + 'static> ShardedAggregate<
     /// restoring the last good checkpoint and replaying the failed
     /// chunk (see the crate docs for the full failure model).
     pub fn supervised(shards: usize, opts: SupervisorOptions, make: impl Fn() -> B) -> Self {
-        let fns = CkptFns {
-            save: save_ckpt::<B>,
-            restore: restore_ckpt::<B>,
-        };
-        Self::build(shards, opts, Some(fns), &make, None)
+        Self::build(shards, opts, &make, None)
     }
 
     /// Spawns a supervised engine whose state **survives process
@@ -984,12 +975,9 @@ impl<B: StreamAggregate + Checkpoint + Clone + Send + 'static> ShardedAggregate<
         durability: DurabilityConfig,
         make: impl Fn() -> B,
     ) -> Result<(Self, RecoveryReport), RestoreError> {
-        let fns = CkptFns {
-            save: save_ckpt::<B>,
-            restore: restore_ckpt::<B>,
-        };
         let mut backends: Vec<B> = (0..shards).map(|_| make()).collect();
         let (mut chunk, mut items) = (Vec::new(), Vec::new());
+        let mut tails = vec![false; shards];
         // A record is one drained chunk, so `apply_chunk` reproduces
         // the exact batched call pattern the worker applied and the
         // recovered state is bit-identical.
@@ -998,6 +986,7 @@ impl<B: StreamAggregate + Checkpoint + Clone + Send + 'static> ShardedAggregate<
             durability.options,
             &mut backends,
             |backend, rec| {
+                tails[rec.shard as usize] = true;
                 chunk.clear();
                 for e in &rec.entries {
                     chunk.push(match *e {
@@ -1012,61 +1001,52 @@ impl<B: StreamAggregate + Checkpoint + Clone + Send + 'static> ShardedAggregate<
                 Ok(())
             },
         )?;
-        let eng = Self::build(shards, opts, Some(fns), &make, Some((store, backends)));
+        let eng = Self::build(shards, opts, &make, Some((store, backends, tails)));
         eng.last_t.store(report.resumed_at, Ordering::Release);
         Ok((eng, report))
     }
-}
 
-impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
-    /// Spawns `shards` workers, each owning one `make()` backend, with
-    /// round-robin partitioning and the default ring capacity.
-    ///
-    /// Every shard must be built from the *same* configuration (same
-    /// decay, ε, caps): `merge_from` asserts compatibility when the
-    /// serving summary is folded.
-    ///
-    /// Without the [`Checkpoint`] capability a worker panic quarantines
-    /// its shard immediately (no restart is possible); use
-    /// [`supervised`](Self::supervised) for self-healing workers.
-    pub fn new(shards: usize, make: impl Fn() -> B) -> Self {
-        Self::build(shards, SupervisorOptions::default(), None, &make, None)
-    }
-
-    /// Full-control constructor: shard count and per-shard ring
-    /// capacity (rounded up to a power of two). Unsupervised; see
-    /// [`new`](Self::new).
-    pub fn with_options(shards: usize, ring_capacity: usize, make: impl Fn() -> B) -> Self {
-        let opts = SupervisorOptions {
-            ring_capacity,
-            ..SupervisorOptions::default()
-        };
-        Self::build(shards, opts, None, &make, None)
-    }
-
+    /// Spawns one worker per shard. Every shard must be built from the
+    /// *same* configuration (same decay, ε, caps): `merge_from` asserts
+    /// compatibility when the serving summary is folded. `durable`
+    /// carries an opened store, the backends it recovered and, per
+    /// shard, whether a WAL tail was replayed on top of its checkpoint.
     fn build(
         shards: usize,
         opts: SupervisorOptions,
-        ckpt_ops: Option<CkptFns<B>>,
         make: &dyn Fn() -> B,
-        durable: Option<(DurableStore, Vec<B>)>,
+        durable: Option<(DurableStore, Vec<B>, Vec<bool>)>,
     ) -> Self {
         assert!(shards >= 1, "need at least one shard");
+        let ckpt_ops = CkptFns {
+            save: B::save_checkpoint,
+            restore: B::restore_checkpoint,
+        };
         let template = make();
-        let (durable_store, backends) = match durable {
-            Some((store, backends)) => (Some(Arc::new(Mutex::new(store))), backends),
-            None => (None, (0..shards).map(|_| make()).collect()),
+        // Per shard: the backend, whether it holds recovered history,
+        // and whether the store's checkpoint of the shard holds it too.
+        let (durable_store, seeds): (_, Vec<(B, bool, bool)>) = match durable {
+            Some((store, backends, tails)) => {
+                let seeds = (0..shards as u32)
+                    .zip(backends)
+                    .zip(tails)
+                    .map(|((i, b), tail)| (b, store.entries_applied(i) > 0, !tail))
+                    .collect();
+                (Some(Arc::new(Mutex::new(store))), seeds)
+            }
+            None => (None, (0..shards).map(|_| (make(), false, false)).collect()),
         };
         let mut handles = Vec::with_capacity(shards);
-        for (i, backend) in backends.into_iter().enumerate() {
+        for (i, (backend, recovered, on_disk)) in seeds.into_iter().enumerate() {
             let (tx, rx) = spsc::ring::<Msg>(opts.ring_capacity);
-            // Seed the checkpoint with the pristine backend, so a shard
-            // that dies before its first save still restores to a valid
-            // (empty) state with its whole submitted mass at risk.
-            let initial = ckpt_ops.map(|_| CkptRecord {
+            // Seed the restart point with the opening backend, so a
+            // shard that dies before its first save still restores to a
+            // valid state with its whole submitted mass at risk.
+            let initial = CkptRecord {
                 snapshot: backend.clone(),
                 mass: 0,
-            });
+                on_disk,
+            };
             let state = Arc::new(ShardState {
                 backend: Mutex::new(backend),
                 applied: CachePadded::new(AtomicU64::new(0)),
@@ -1077,15 +1057,16 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
                 lost_mass: AtomicU64::new(0),
                 ckpt_age: AtomicU64::new(0),
                 ckpt: Mutex::new(initial),
+                recovered,
+                ckpt_ops,
+                store: durable_store.clone(),
+                shard: i as u32,
                 last_panic: Mutex::new(None),
             });
             let ctx = WorkerCtx {
                 state: Arc::clone(&state),
-                ckpt_ops,
                 max_restarts: opts.max_restarts,
                 checkpoint_every: opts.checkpoint_every_chunks.max(1),
-                store: durable_store.clone(),
-                shard: i as u32,
                 wal_flush_idle: opts.wal_flush_idle,
             };
             let worker = thread::Builder::new()
@@ -1121,14 +1102,15 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
                 last_bound: None,
             }),
             template,
-            ckpt_ops,
             extra_risk: AtomicU64::new(0),
             durable_store,
             watermark: AtomicU64::new(0),
             watermark_published: AtomicBool::new(false),
         }
     }
+}
 
+impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
     /// Records the watermark `W` of an upstream reordering stage
     /// (monotone: a lower `w` never regresses it). Published next to
     /// the applied-epoch counters so every [`Answer`] can report
@@ -1339,10 +1321,11 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         m
     }
 
-    /// Snapshots live shards (skipping `dead`, whose last checkpoints
+    /// Snapshots live shards (skipping `dead`, whose restart points
     /// are folded instead), advances everything to the shared clock,
     /// and folds into one summary. Returns the summary and the total
-    /// mass at risk (uncovered dead-shard mass + global widening mass).
+    /// mass at risk (uncovered dead-shard mass + global widening mass,
+    /// [`UNKNOWN_MASS`] once a dead shard's recovered history is lost).
     fn fold_parts(&self, dead: &[usize]) -> (B, u64) {
         let t_sync = self.last_t.load(Ordering::Acquire);
         let mut parts: Vec<B> = Vec::with_capacity(self.shards.len());
@@ -1350,22 +1333,21 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
         for (i, sh) in self.shards.iter().enumerate() {
             if dead.contains(&i) {
                 let submitted_mass = sh.submitted_mass.load(Ordering::Acquire);
-                let mut covered = 0u64;
-                if let Some(fns) = self.ckpt_ops {
-                    let rec_guard = sh.state.ckpt.lock().expect("checkpoint mutex");
-                    if let Some(rec) = rec_guard.as_ref() {
-                        let mut b = self.template.clone();
-                        if fns.restore_from(&mut b, &rec.snapshot).is_ok() {
-                            covered = rec.mass;
-                            parts.push(b);
-                        }
-                        // A failed restore (corruption) is *detected*:
-                        // the checkpoint is discarded and the whole
-                        // submitted mass goes at risk instead of being
-                        // silently wrong.
+                let mut b = self.template.clone();
+                // A failed restore (corruption) is *detected*: the
+                // restart point is discarded and the whole submitted
+                // mass goes at risk instead of being silently wrong —
+                // with a recovered history the store kept no mass for,
+                // an unknown amount.
+                let missing = match sh.state.restore_restart_point(&mut b) {
+                    Ok(covered) => {
+                        parts.push(b);
+                        submitted_mass.saturating_sub(covered)
                     }
-                }
-                risk = risk.saturating_add(submitted_mass.saturating_sub(covered));
+                    Err(_) if sh.state.recovered => UNKNOWN_MASS,
+                    Err(_) => submitted_mass,
+                };
+                risk = risk.saturating_add(missing);
             } else {
                 parts.push(
                     sh.state
@@ -1423,7 +1405,12 @@ impl<B: StreamAggregate + Clone + Send + 'static> ShardedAggregate<B> {
             let value = t.map_or(f64::NAN, |t| merged.query(t));
             let mut env = Envelope::from(merged.error_bound());
             if risk > 0 {
-                env = env.missing(risk as f64, self.template.unit_weight_cap());
+                let mass = if risk == UNKNOWN_MASS {
+                    f64::INFINITY
+                } else {
+                    risk as f64
+                };
+                env = env.missing(mass, self.template.unit_weight_cap());
             }
             Answer {
                 value,
@@ -1633,7 +1620,8 @@ impl<B: StreamAggregate + Clone + Send + 'static> StreamAggregate for ShardedAgg
             }
             backend.merge_from(&theirs);
         }
-        self.extra_risk.fetch_add(their_risk, Ordering::Release);
+        let risk = self.extra_risk.get_mut();
+        *risk = risk.saturating_add(their_risk);
         self.last_t.store(t_common, Ordering::Release);
         // The fold changed the target shard without moving its applied
         // counter: drop the cached summary explicitly.
@@ -1704,6 +1692,7 @@ impl<B> Drop for ShardedAggregate<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
     use td_counters::{ExactDecayedSum, ExpCounter};
     use td_decay::{Constant, DecayFunction, Exponential, Polynomial};
     use td_persist::MemStorage;
@@ -1789,7 +1778,9 @@ mod tests {
     fn matches_single_backend_exp_counter() {
         let items = stream(2000);
         let mut single = ExpCounter::new(Exponential::new(0.01));
-        let mut sharded = ShardedAggregate::new(4, || ExpCounter::new(Exponential::new(0.01)));
+        let mut sharded = ShardedAggregate::supervised(4, SupervisorOptions::default(), || {
+            ExpCounter::new(Exponential::new(0.01))
+        });
         for &(t, f) in &items {
             single.observe(t, f);
             sharded.observe(t, f);
@@ -1807,8 +1798,9 @@ mod tests {
     fn matches_single_backend_wbmh_within_envelope() {
         let items = stream(3000);
         let mut single = Wbmh::new(Polynomial::new(1.0), 0.1, 1 << 30);
-        let mut sharded =
-            ShardedAggregate::new(3, || Wbmh::new(Polynomial::new(1.0), 0.1, 1 << 30));
+        let mut sharded = ShardedAggregate::supervised(3, SupervisorOptions::default(), || {
+            Wbmh::new(Polynomial::new(1.0), 0.1, 1 << 30)
+        });
         single.observe_batch(&items);
         sharded.observe_batch(&items);
         let probe = items.last().unwrap().0 + 5;
@@ -1826,7 +1818,9 @@ mod tests {
 
     #[test]
     fn empty_and_at_tick_conventions() {
-        let mut s = ShardedAggregate::new(3, || ExpCounter::new(Exponential::new(0.5)));
+        let mut s = ShardedAggregate::supervised(3, SupervisorOptions::default(), || {
+            ExpCounter::new(Exponential::new(0.5))
+        });
         assert_eq!(s.query(5), 0.0);
         s.observe(7, 3);
         assert_eq!(s.query(7), 0.0, "at-tick mass must be invisible (§2.1)");
@@ -1835,7 +1829,9 @@ mod tests {
 
     #[test]
     fn epoch_cache_hits_until_state_changes() {
-        let mut s = ShardedAggregate::new(4, || ExpCounter::new(Exponential::new(0.1)));
+        let mut s = ShardedAggregate::supervised(4, SupervisorOptions::default(), || {
+            ExpCounter::new(Exponential::new(0.1))
+        });
         s.observe_batch(&stream(500));
         let _ = s.query(10_000);
         let _ = s.query(10_001);
@@ -1851,7 +1847,14 @@ mod tests {
 
     #[test]
     fn keyed_ingest_accounts_all_mass() {
-        let mut s = ShardedAggregate::with_options(4, 64, || ExactDecayedSum::new(Constant));
+        let mut s = ShardedAggregate::supervised(
+            4,
+            SupervisorOptions {
+                ring_capacity: 64,
+                ..SupervisorOptions::default()
+            },
+            || ExactDecayedSum::new(Constant),
+        );
         let mut total = 0u64;
         for i in 0..1000u64 {
             let f = 1 + i % 5;
@@ -1867,7 +1870,14 @@ mod tests {
         // drain their rings fully before exiting, so every item lands.
         let items = stream(20_000);
         let total: u64 = items.iter().map(|&(_, f)| f).sum();
-        let mut s = ShardedAggregate::with_options(4, 256, || ExactDecayedSum::new(Constant));
+        let mut s = ShardedAggregate::supervised(
+            4,
+            SupervisorOptions {
+                ring_capacity: 256,
+                ..SupervisorOptions::default()
+            },
+            || ExactDecayedSum::new(Constant),
+        );
         s.observe_batch(&items);
         let merged = s.into_merged().expect("no shard failed");
         let probe = items.last().unwrap().0 + 1;
@@ -1882,8 +1892,12 @@ mod tests {
         let a_items: Vec<(Time, u64)> = a_items.into_iter().map(|(_, &x)| x).collect();
         let b_items: Vec<(Time, u64)> = b_items.into_iter().map(|(_, &x)| x).collect();
 
-        let mut a = ShardedAggregate::new(2, || ExpCounter::new(Exponential::new(0.02)));
-        let mut b = ShardedAggregate::new(3, || ExpCounter::new(Exponential::new(0.02)));
+        let mut a = ShardedAggregate::supervised(2, SupervisorOptions::default(), || {
+            ExpCounter::new(Exponential::new(0.02))
+        });
+        let mut b = ShardedAggregate::supervised(3, SupervisorOptions::default(), || {
+            ExpCounter::new(Exponential::new(0.02))
+        });
         a.observe_batch(&a_items);
         b.observe_batch(&b_items);
         a.merge_from(&b);
@@ -1901,8 +1915,9 @@ mod tests {
 
     #[test]
     fn advance_reclaims_and_is_broadcast() {
-        let mut s =
-            ShardedAggregate::new(2, || ExactDecayedSum::new(td_decay::SlidingWindow::new(10)));
+        let mut s = ShardedAggregate::supervised(2, SupervisorOptions::default(), || {
+            ExactDecayedSum::new(td_decay::SlidingWindow::new(10))
+        });
         for t in 1..=50u64 {
             s.observe(t, 1);
         }
@@ -1950,12 +1965,20 @@ mod tests {
         );
     }
 
+    /// No restarts: the first panic quarantines its shard.
+    fn no_restarts() -> SupervisorOptions {
+        SupervisorOptions {
+            max_restarts: 0,
+            ..SupervisorOptions::default()
+        }
+    }
+
     #[test]
-    fn unsupervised_panic_quarantines_and_widens() {
+    fn panic_past_the_restart_budget_quarantines_and_widens() {
         let items = stream(4_000);
         let calls = Arc::new(AtomicU64::new(0));
         let trigger = Arc::clone(&calls);
-        let mut s = ShardedAggregate::new(4, move || {
+        let mut s = ShardedAggregate::supervised(4, no_restarts(), move || {
             PanicOnNth::wrap(ExactDecayedSum::new(Constant), Arc::clone(&trigger), 4)
         });
         let mut single = ExactDecayedSum::new(Constant);
@@ -1974,9 +1997,19 @@ mod tests {
             ans.bound,
             truth
         );
+        // The dead shard's restart point is folded; what the answer
+        // misses is exactly the mass submitted past it, plus the mass
+        // of pushes that raced the quarantine and were shed.
+        let dead = &s.shards[ans.degraded[0]];
+        let past =
+            dead.submitted_mass.load(Ordering::Acquire) - dead.state.ckpt.lock().unwrap().mass;
+        assert!(past > 0);
+        let missing = past + s.widening_mass();
+        assert_eq!(truth - ans.value, missing as f64);
+        let under = ans.value * ans.bound.lower / (1.0 - ans.bound.lower);
         assert!(
-            ans.value <= truth,
-            "a degraded exact counter can only under-count"
+            (under - missing as f64).abs() <= 1e-6 * missing as f64,
+            "the envelope prices {under}, not the {missing} missing"
         );
         let stats = s.shard_stats();
         assert_eq!(
@@ -2083,6 +2116,15 @@ mod tests {
         }
     }
 
+    impl Checkpoint for Wedgeable {
+        fn save_checkpoint(&self) -> Vec<u8> {
+            self.inner.save_checkpoint()
+        }
+        fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), RestoreError> {
+            self.inner.restore_checkpoint(bytes)
+        }
+    }
+
     #[test]
     fn wedged_barrier_is_a_typed_error_not_a_hang() {
         let release = Arc::new(AtomicBool::new(false));
@@ -2091,16 +2133,10 @@ mod tests {
             barrier_deadline: Duration::from_millis(25),
             ..SupervisorOptions::default()
         };
-        let mut s = ShardedAggregate::build(
-            2,
-            opts,
-            None,
-            &move || Wedgeable {
-                inner: ExactDecayedSum::new(Constant),
-                release: Arc::clone(&r),
-            },
-            None,
-        );
+        let mut s = ShardedAggregate::supervised(2, opts, move || Wedgeable {
+            inner: ExactDecayedSum::new(Constant),
+            release: Arc::clone(&r),
+        });
         s.observe(5, 3);
         s.observe(5, 4);
         let err = s.try_query(6).expect_err("a wedged shard must surface");
@@ -2117,7 +2153,7 @@ mod tests {
         let items = stream(2_000);
         let calls = Arc::new(AtomicU64::new(0));
         let trigger = Arc::clone(&calls);
-        let mut s = ShardedAggregate::new(3, move || {
+        let mut s = ShardedAggregate::supervised(3, no_restarts(), move || {
             PanicOnNth::wrap(ExactDecayedSum::new(Constant), Arc::clone(&trigger), 3)
         });
         for chunk in items.chunks(64) {
@@ -2136,7 +2172,9 @@ mod tests {
     fn reordered_engine_publishes_watermark_and_reports_completeness() {
         use td_reorder::LatenessPolicy;
 
-        let engine = ShardedAggregate::new(3, || ExpCounter::new(Exponential::new(0.01)));
+        let engine = ShardedAggregate::supervised(3, SupervisorOptions::default(), || {
+            ExpCounter::new(Exponential::new(0.01))
+        });
         assert_eq!(engine.watermark(), None);
         let mut staged = engine.reordered(
             Box::new(Exponential::new(0.01)),
@@ -2182,7 +2220,9 @@ mod tests {
 
     #[test]
     fn unfronted_engine_is_complete_to_its_clock() {
-        let mut engine = ShardedAggregate::new(2, || ExpCounter::new(Exponential::new(0.02)));
+        let mut engine = ShardedAggregate::supervised(2, SupervisorOptions::default(), || {
+            ExpCounter::new(Exponential::new(0.02))
+        });
         for (t, f) in stream(200) {
             engine.observe(t, f);
         }
@@ -2431,12 +2471,12 @@ mod tests {
     }
 
     /// Counts `save_checkpoint` calls across all clones, flipping one
-    /// bit in the envelope of the `flip_at`-th save (0: never).
+    /// bit in the envelope of every save whose number lies in `flip`.
     #[derive(Clone, Debug)]
     struct CountSaves<B> {
         inner: B,
         saves: Arc<AtomicU64>,
-        flip_at: u64,
+        flip: Range<u64>,
     }
 
     impl<B: StorageAccounting> StorageAccounting for CountSaves<B> {
@@ -2473,7 +2513,7 @@ mod tests {
         fn save_checkpoint(&self) -> Vec<u8> {
             let n = self.saves.fetch_add(1, Ordering::SeqCst) + 1;
             let mut bytes = self.inner.save_checkpoint();
-            if n == self.flip_at {
+            if self.flip.contains(&n) {
                 let mid = bytes.len() / 2;
                 bytes[mid] ^= 0x10;
             }
@@ -2485,11 +2525,12 @@ mod tests {
     }
 
     /// A `make` closure over counted exact counters that corrupt their
-    /// `flip_at`-th save and panic on the `fire_at`-th batch (0: never).
+    /// saves numbered in `flip` and panic on the `fire_at`-th batch (0:
+    /// never).
     fn counted(
         saves: &Arc<AtomicU64>,
         fire_at: u64,
-        flip_at: u64,
+        flip: Range<u64>,
     ) -> impl Fn() -> PanicOnNth<CountSaves<ExactDecayedSum<Constant>>> {
         let saves = Arc::clone(saves);
         let calls = Arc::new(AtomicU64::new(0));
@@ -2497,7 +2538,7 @@ mod tests {
             let inner = CountSaves {
                 inner: ExactDecayedSum::new(Constant),
                 saves: Arc::clone(&saves),
-                flip_at,
+                flip: flip.clone(),
             };
             PanicOnNth::wrap(inner, Arc::clone(&calls), fire_at)
         }
@@ -2513,7 +2554,7 @@ mod tests {
         // restart point is a typed copy.
         let saves = Arc::new(AtomicU64::new(0));
         let mut s =
-            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 0, 0));
+            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 0, 0..0));
         for chunk in items.chunks(64) {
             s.observe_batch(chunk);
         }
@@ -2528,7 +2569,7 @@ mod tests {
         // checksum, and still heals losslessly.
         let saves = Arc::new(AtomicU64::new(0));
         let mut s =
-            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 5, 0));
+            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 5, 0..0));
         for chunk in items.chunks(64) {
             s.observe_batch(chunk);
         }
@@ -2546,7 +2587,7 @@ mod tests {
         // the shard quarantines instead of restoring garbage.
         let saves = Arc::new(AtomicU64::new(0));
         let mut s =
-            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 5, 1));
+            ShardedAggregate::supervised(2, SupervisorOptions::default(), counted(&saves, 5, 1..2));
         for chunk in items.chunks(64) {
             s.observe_batch(chunk);
         }
@@ -2573,7 +2614,7 @@ mod tests {
             ..SupervisorOptions::default()
         };
         let durability = DurabilityConfig::new(Box::new(MemStorage::new()));
-        let (mut eng, _) = ShardedAggregate::durable(1, opts, durability, counted(&saves, 0, 0))
+        let (mut eng, _) = ShardedAggregate::durable(1, opts, durability, counted(&saves, 0, 0..0))
             .expect("fresh store");
         // A barrier after each observe makes every item its own chunk.
         for t in 1..=12u64 {
@@ -2596,7 +2637,7 @@ mod tests {
             ..SupervisorOptions::default()
         };
         let durability = DurabilityConfig::new(Box::new(MemStorage::new()));
-        let (mut eng, _) = ShardedAggregate::durable(1, opts, durability, counted(&saves, 6, 6))
+        let (mut eng, _) = ShardedAggregate::durable(1, opts, durability, counted(&saves, 6, 6..7))
             .expect("fresh store");
         for t in 1..=10u64 {
             eng.observe(t, 1);
@@ -2614,6 +2655,119 @@ mod tests {
             "the restart must name the disk restore: {:?}",
             st.last_panic
         );
+    }
+
+    /// The `under` weight an exact counter's answer admits to missing,
+    /// read back from its widened lower bound (unit weight cap 1).
+    fn missing_weight(ans: &Answer) -> f64 {
+        ans.value * ans.bound.lower / (1.0 - ans.bound.lower)
+    }
+
+    /// A `shards`-way durable engine over `mem` at cadence `every`, built
+    /// from `counted(saves, fire_at, flip)`.
+    fn counted_durable(
+        shards: usize,
+        mem: &MemStorage,
+        every: u64,
+        saves: &Arc<AtomicU64>,
+        fire_at: u64,
+        flip: Range<u64>,
+    ) -> (
+        ShardedAggregate<PanicOnNth<CountSaves<ExactDecayedSum<Constant>>>>,
+        RecoveryReport,
+    ) {
+        let opts = SupervisorOptions {
+            checkpoint_every_chunks: every,
+            ..SupervisorOptions::default()
+        };
+        let durability = DurabilityConfig::new(Box::new(mem.clone()));
+        ShardedAggregate::durable(shards, opts, durability, counted(saves, fire_at, flip))
+            .expect("store opens")
+    }
+
+    #[test]
+    fn durable_restart_refuses_a_disk_checkpoint_older_than_its_restart_point() {
+        // Cadence 4, a barrier per observe: the store's checkpoint
+        // holds items 1..=8 and the WAL tail items 9 and 10.
+        let mem = MemStorage::new();
+        let saves = Arc::new(AtomicU64::new(0));
+        let (mut eng, _) = counted_durable(1, &mem, 4, &saves, 0, 0..0);
+        for t in 1..=10u64 {
+            eng.observe(t, 1);
+            assert_eq!(eng.query(t + 1), t as f64);
+        }
+        eng.flush_wal().expect("flush");
+        drop(eng);
+        // Reopened, the restart point is checkpoint plus tail. The
+        // first batch after the two replayed ones panics and the
+        // restart's encoding (the first save since open) is corrupt.
+        // The disk checkpoint lacks the tail, so restoring it would
+        // lose the tail uncounted: the shard must quarantine instead,
+        // and the fold serves the restart point.
+        let saves = Arc::new(AtomicU64::new(0));
+        let (mut eng, rec) = counted_durable(1, &mem.crashed(), 4, &saves, 3, 1..2);
+        assert_eq!((rec.checkpoints_restored, rec.records_replayed), (1, 2));
+        eng.observe(11, 1);
+        let ans = eng.try_query(12).expect("no wedge");
+        assert_eq!(ans.degraded, vec![0]);
+        assert_eq!(ans.value, 10.0, "the fold serves checkpoint and tail");
+        assert!(ans.bound.admits(ans.value, 11.0, 1e-9), "{ans:?}");
+        assert!((missing_weight(&ans) - 1.0).abs() < 1e-9, "{ans:?}");
+    }
+
+    #[test]
+    fn durable_dead_shard_that_loses_its_recovered_history_is_unbounded() {
+        // Two shards whose whole history (20 items of mass 50, one
+        // chunk each, round-robin) is in the WAL: no checkpoint.
+        let mem = MemStorage::new();
+        let saves = Arc::new(AtomicU64::new(0));
+        let (mut eng, _) = counted_durable(2, &mem, u64::MAX, &saves, 0, 0..0);
+        for t in 1..=20u64 {
+            eng.observe(t, 50);
+            assert_eq!(eng.query(t + 1), (50 * t) as f64);
+        }
+        eng.flush_wal().expect("flush");
+        drop(eng);
+        // Reopened with every save corrupt, the first batch after the
+        // 20 replayed ones panics on shard 0. Its restart point cannot
+        // be restored anywhere, so its 500 recovered units are gone,
+        // and no counter knows how many there were.
+        let saves = Arc::new(AtomicU64::new(0));
+        let (mut eng, rec) = counted_durable(2, &mem.crashed(), u64::MAX, &saves, 21, 1..u64::MAX);
+        assert_eq!(rec.records_replayed, 20);
+        eng.observe(21, 1);
+        let ans = eng.try_query(22).expect("no wedge");
+        assert_eq!(ans.degraded, vec![0]);
+        assert_eq!(ans.value, 500.0, "the live shard's history");
+        assert!(ans.bound.admits(ans.value, 1001.0, 1e-9), "{ans:?}");
+        assert_eq!(ans.bound.lower, 1.0, "missing mass of unknown size");
+    }
+
+    #[test]
+    fn durable_dead_shard_folds_the_disk_checkpoint_when_its_encoding_fails() {
+        // Cadence 1 and a barrier per observe: save k is chunk k's
+        // disk checkpoint. Batch 6 panics with no restart budget, and
+        // the fold's encoding of the restart point (save 6) is
+        // corrupt, so the fold must serve the disk checkpoint (save 5),
+        // which holds the same state, with its mass covered.
+        let saves = Arc::new(AtomicU64::new(0));
+        let opts = SupervisorOptions {
+            checkpoint_every_chunks: 1,
+            ..no_restarts()
+        };
+        let durability = DurabilityConfig::new(Box::new(MemStorage::new()));
+        let (mut eng, _) = ShardedAggregate::durable(1, opts, durability, counted(&saves, 6, 6..7))
+            .expect("fresh store");
+        for t in 1..=5u64 {
+            eng.observe(t, 1);
+            assert_eq!(eng.query(t + 1), t as f64);
+        }
+        eng.observe(6, 1);
+        let ans = eng.try_query(7).expect("no wedge");
+        assert_eq!(ans.degraded, vec![0]);
+        assert_eq!(ans.value, 5.0, "the disk checkpoint holds items 1..=5");
+        assert!(ans.bound.admits(ans.value, 6.0, 1e-9), "{ans:?}");
+        assert!((missing_weight(&ans) - 1.0).abs() < 1e-9, "{ans:?}");
     }
 
     #[test]
@@ -2649,7 +2803,7 @@ mod tests {
 
         let engine = |fire_at| {
             let calls = Arc::new(AtomicU64::new(0));
-            ShardedAggregate::new(3, move || {
+            ShardedAggregate::supervised(3, no_restarts(), move || {
                 PanicOnNth::wrap(ExactDecayedSum::new(Constant), Arc::clone(&calls), fire_at)
             })
         };

@@ -1042,12 +1042,13 @@ impl<G: DecayFunction> Wbmh<G> {
     }
 }
 
-/// A compact serialization of a WBMH's **per-stream** state: bucket
-/// spans and counts, the open bucket, and the pending tick. The shared
+/// A plain view of a WBMH's **per-stream** state: bucket spans and
+/// counts, the open bucket, and the pending tick. The shared
 /// configuration (decay function, ε, region schedule, count mode) is
 /// deliberately *not* included — §2.3's storage argument is exactly
-/// that it is shared across all streams, and the telecom application
-/// (§1.1) stores one such record per customer.
+/// that it is shared across all streams. It is for inspection and
+/// comparison; a histogram is saved and restored through its
+/// [`Checkpoint`](td_decay::checkpoint::Checkpoint) encoding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WbmhSnapshot {
     /// Clock state at snapshot time.
@@ -1060,13 +1061,14 @@ pub struct WbmhSnapshot {
     pub has_open: bool,
     /// The pending (current-tick) items, if any.
     pub pending: Option<(Time, u64)>,
-    /// Merge-pass throttle state (captured so a restored histogram
-    /// replays the deterministic schedule tick-for-tick).
+    /// Merge-pass throttle state (part of the state, so two
+    /// histograms that compare equal replay the deterministic schedule
+    /// tick-for-tick).
     pub seals_since_pass: usize,
 }
 
 impl<G: DecayFunction> Wbmh<G> {
-    /// Captures the per-stream state for external storage.
+    /// Captures the per-stream state.
     pub fn snapshot(&self) -> WbmhSnapshot {
         let encode = |b: &WbmhBucket| {
             let (value, depth) = match &b.count {
@@ -1089,72 +1091,6 @@ impl<G: DecayFunction> Wbmh<G> {
             pending: self.pending,
             seals_since_pass: self.seals_since_pass,
         }
-    }
-
-    /// Rebuilds a histogram from a snapshot plus the shared
-    /// configuration. The configuration must match the one the snapshot
-    /// was taken under (same decay/ε/max_age/count mode) — restoring
-    /// under a different schedule silently reinterprets the bucket
-    /// spans, so a round-trip test on first use is advisable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's bucket spans are not sorted/disjoint,
-    /// or if a count value is negative or non-finite.
-    pub fn restore(
-        decay: G,
-        epsilon: f64,
-        max_age: Time,
-        count_epsilon: Option<f64>,
-        snap: &WbmhSnapshot,
-    ) -> Self {
-        let mut h = match count_epsilon {
-            None => Self::new(decay, epsilon, max_age),
-            Some(ce) => Self::with_approx_counts(decay, epsilon, max_age, ce),
-        };
-        let decode = |&(start, end, first_item, last_item, value, depth): &(
-            Time,
-            Time,
-            Time,
-            Time,
-            f64,
-            u32,
-        )|
-         -> WbmhBucket {
-            assert!(
-                value.is_finite() && value >= 0.0,
-                "invalid count value {value} in snapshot"
-            );
-            let count = match count_epsilon {
-                None => {
-                    assert_eq!(depth, 0, "exact-mode snapshot carries merge depths");
-                    BucketCount::Exact(value as u64)
-                }
-                Some(ce) => BucketCount::Approx(ApproxCount::from_parts(value, depth, ce)),
-            };
-            WbmhBucket {
-                start,
-                end,
-                first_item,
-                last_item,
-                count,
-            }
-        };
-        let n_sealed = snap.buckets.len() - usize::from(snap.has_open);
-        for pair in snap.buckets.windows(2) {
-            assert!(pair[0].0 <= pair[1].0, "snapshot buckets out of order");
-        }
-        for b in &snap.buckets[..n_sealed] {
-            h.buckets.push_back(decode(b));
-        }
-        h.open = snap
-            .has_open
-            .then(|| decode(snap.buckets.last().expect("has_open")));
-        h.pending = snap.pending;
-        h.seals_since_pass = snap.seals_since_pass;
-        h.last_t = snap.last_t;
-        h.started = snap.last_t > 0 || !snap.buckets.is_empty() || snap.pending.is_some();
-        h
     }
 }
 
@@ -1732,15 +1668,29 @@ mod tests {
         assert!((h.query(6) - 3.0).abs() < 1e-12);
     }
 
+    /// Restores `h`'s checkpoint into a fresh `make()` and checks the
+    /// restored state's snapshot and re-saved bytes against `h`'s.
+    fn checkpoint_round_trip<G: DecayFunction>(h: &Wbmh<G>, make: impl Fn() -> Wbmh<G>) -> Wbmh<G> {
+        use td_decay::checkpoint::Checkpoint;
+        let bytes = h.save_checkpoint();
+        let mut restored = make();
+        restored
+            .restore_checkpoint(&bytes)
+            .expect("own checkpoint restores");
+        assert_eq!(h.snapshot(), restored.snapshot());
+        assert_eq!(bytes, restored.save_checkpoint());
+        restored
+    }
+
     #[test]
-    fn snapshot_round_trip_exact_counts() {
+    fn checkpoint_round_trip_exact_counts() {
         let g = Polynomial::new(1.0);
-        let mut h = Wbmh::new(g, 0.1, 1 << 20);
+        let make = || Wbmh::new(g, 0.1, 1 << 20);
+        let mut h = make();
         for t in 1..=5_000u64 {
             h.observe(t, 1 + t % 3);
         }
-        let snap = h.snapshot();
-        let restored = Wbmh::restore(g, 0.1, 1 << 20, None, &snap);
+        let restored = checkpoint_round_trip(&h, make);
         assert_eq!(h.query(5_001), restored.query(5_001));
         // And both continue identically.
         let mut a = h;
@@ -1754,25 +1704,34 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trip_approx_counts() {
+    fn checkpoint_round_trip_approx_counts() {
         let g = Polynomial::new(2.0);
-        let mut h = Wbmh::with_approx_counts(g, 0.2, 1 << 20, 0.1);
+        let make = || Wbmh::with_approx_counts(g, 0.2, 1 << 20, 0.1);
+        let mut h = make();
         for t in 1..=3_000u64 {
             h.observe(t, 2);
         }
-        let snap = h.snapshot();
-        let restored = Wbmh::restore(g, 0.2, 1 << 20, Some(0.1), &snap);
+        let restored = checkpoint_round_trip(&h, make);
+        assert!(
+            h.snapshot().buckets.iter().any(|b| b.5 > 0),
+            "counts merged"
+        );
         assert_eq!(h.query(3_001), restored.query(3_001));
-        use td_decay::storage::StorageAccounting;
         assert_eq!(h.storage_bits(), restored.storage_bits());
+        let mut a = h;
+        let mut b = restored;
+        for t in 3_001..=4_000u64 {
+            a.observe(t, 1 + t % 3);
+            b.observe(t, 1 + t % 3);
+        }
+        assert_eq!(a.query(4_001), b.query(4_001));
+        assert_eq!(a.snapshot(), b.snapshot());
     }
 
     #[test]
-    fn empty_snapshot_round_trip() {
-        let g = Polynomial::new(1.0);
-        let h = Wbmh::new(g, 0.5, 1 << 10);
-        let snap = h.snapshot();
-        let restored = Wbmh::restore(g, 0.5, 1 << 10, None, &snap);
+    fn empty_checkpoint_round_trip() {
+        let make = || Wbmh::new(Polynomial::new(1.0), 0.5, 1 << 10);
+        let restored = checkpoint_round_trip(&make(), make);
         assert_eq!(restored.query(100), 0.0);
     }
 

@@ -19,8 +19,9 @@ fn main() {
     // Four shards, each a private cascaded-EH under POLYD(1) decay.
     // Every shard sees a disjoint substream; the §6 merge property is
     // what lets their summaries fold back into one answer.
-    let mut engine =
-        ShardedAggregate::with_options(4, 4096, || CascadedEh::new(Polynomial::new(1.0), 0.05));
+    let mut engine = ShardedAggregate::supervised(4, SupervisorOptions::default(), || {
+        CascadedEh::new(Polynomial::new(1.0), 0.05)
+    });
 
     // Ingest phase: 200k items over 20k ticks. Keyed ingest pins each
     // key's whole substream to one shard (useful when the backend is
@@ -140,6 +141,9 @@ impl StreamAggregate for Unreliable {
     }
     fn error_bound(&self) -> ErrorBound {
         self.inner.error_bound()
+    }
+    fn unit_weight_cap(&self) -> f64 {
+        self.inner.unit_weight_cap()
     }
 }
 

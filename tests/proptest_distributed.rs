@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use td_conformance::Oracle;
 use td_counters::{ExactDecayedSum, ExpCounter, PolyExpCounter, QuantizedExpCounter};
+use td_decay::checkpoint::Checkpoint;
 use td_eh::{DominationEh, WindowSketch};
 use timedecay::{CascadedEh, Constant, DecayFunction, Exponential, Polynomial, Wbmh};
 
@@ -283,8 +284,8 @@ proptest! {
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Snapshot/restore is an exact round-trip at arbitrary cut points,
-    /// and the restored histogram continues identically.
+    /// Checkpoint save/restore is an exact round-trip at arbitrary cut
+    /// points, and the restored histogram continues identically.
     #[test]
     fn wbmh_snapshot_round_trip(
         items in split_stream_strategy(),
@@ -292,17 +293,23 @@ proptest! {
         approx in any::<bool>(),
     ) {
         let g = Polynomial::new(1.0);
-        let count_eps = approx.then_some(0.1);
-        let mut h = match count_eps {
-            None => Wbmh::new(g, 0.2, 1 << 16),
-            Some(ce) => Wbmh::with_approx_counts(g, 0.2, 1 << 16, ce),
+        let make = || {
+            if approx {
+                Wbmh::with_approx_counts(g, 0.2, 1 << 16, 0.1)
+            } else {
+                Wbmh::new(g, 0.2, 1 << 16)
+            }
         };
+        let mut h = make();
         let cut_idx = ((items.len() as f64) * cut) as usize;
         for &(t, f, _) in &items[..cut_idx] {
             h.observe(t, f);
         }
-        let snap = h.snapshot();
-        let mut restored = Wbmh::restore(g, 0.2, 1 << 16, count_eps, &snap);
+        let mut restored = make();
+        restored
+            .restore_checkpoint(&h.save_checkpoint())
+            .expect("own checkpoint restores");
+        prop_assert_eq!(h.snapshot(), restored.snapshot());
         for &(t, f, _) in &items[cut_idx..] {
             h.observe(t, f);
             restored.observe(t, f);
